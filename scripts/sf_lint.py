@@ -23,14 +23,20 @@ Seven rules, each encoding a correctness contract of this codebase:
                            allowed anywhere: it is a query, not a
                            primitive.
 
-  fleet-wait-discipline    src/fleet/ may use concurrency primitives,
-                           but every blocking condition_variable wait
-                           there must be woken by close()/shutdown:
-                           its predicate has to consult the closed/
-                           shutdown flag (or the wait must carry a
-                           deadline via wait_for/wait_until).  A wait
-                           without a close edge can deadlock fleet
-                           teardown when a session stops mid-load.
+  pool-wait-discipline     The decision pool and its queue
+                           (src/stream/chunk_queue.hpp,
+                           src/stream/decision_pool.*) and src/fleet/
+                           may use concurrency primitives, but every
+                           blocking condition_variable wait there must
+                           be woken by close()/shutdown: its predicate
+                           has to consult the closed/shutdown flag (or
+                           the wait must carry a deadline via
+                           wait_for/wait_until).  A wait without a
+                           close edge can deadlock pool teardown when
+                           a session stops mid-load.  The rest of
+                           src/stream/ is out of scope for now:
+                           CompletionBoard::await() has no shutdown
+                           edge yet (ROADMAP, failure containment).
 
   quantized-hot-path-purity  The quantized sDTW hot path (the lane-
                            batched kernel TUs) must stay integer-only:
@@ -245,8 +251,14 @@ def rule_concurrency_containment(root: Path, findings: List[Finding]):
 
 
 # ------------------------------------------------------------------ #
-# Rule: fleet-wait-discipline                                         #
+# Rule: pool-wait-discipline                                          #
 # ------------------------------------------------------------------ #
+
+WAIT_SCOPE = (
+    "src/stream/chunk_queue.hpp",
+    "src/stream/decision_pool.hpp",
+    "src/stream/decision_pool.cpp",
+)
 
 WAIT_CALL = re.compile(r"\.wait(_for|_until)?\s*\(")
 
@@ -264,12 +276,20 @@ def _balanced_call_args(text: str, open_paren: int) -> str:
     return text[open_paren + 1 :]
 
 
-def rule_fleet_wait_discipline(root: Path, findings: List[Finding]):
-    rule = "fleet-wait-discipline"
+def rule_pool_wait_discipline(root: Path, findings: List[Finding]):
+    rule = "pool-wait-discipline"
+    paths = []
+    for rel in WAIT_SCOPE:
+        if (root / rel).exists():
+            paths.append(root / rel)
+        else:
+            findings.append(
+                Finding(rule, rel, "scoped file is missing; point "
+                        "WAIT_SCOPE at where the pool or queue moved"))
     fleet = root / "src" / "fleet"
-    if not fleet.exists():
-        return
-    for path in sorted(fleet.rglob("*")):
+    if fleet.exists():
+        paths += sorted(fleet.rglob("*"))
+    for path in paths:
         if path.suffix not in (".hpp", ".cpp"):
             continue
         rel = path.relative_to(root).as_posix()
@@ -284,7 +304,7 @@ def rule_fleet_wait_discipline(root: Path, findings: List[Finding]):
                 Finding(rule, f"{rel}:{line_of(text, m.start())}",
                         "blocking wait without a close()/shutdown "
                         "wake-up in its predicate (and no deadline); "
-                        "fleet teardown could deadlock on it"))
+                        "pool teardown could deadlock on it"))
 
 
 # ------------------------------------------------------------------ #
@@ -450,7 +470,7 @@ def rule_env_knob_strict_parse(root: Path, findings: List[Finding]):
 RULES = [
     rule_simd_backend_integrity,
     rule_concurrency_containment,
-    rule_fleet_wait_discipline,
+    rule_pool_wait_discipline,
     rule_quantized_hot_path_purity,
     rule_tiling_containment,
     rule_env_knob_docs,

@@ -57,7 +57,9 @@ std::size_t level2CacheBytes();
  * one node's cpus before spilling to the next and wrapping when
  * oversubscribed, so co-operating threads land on as few nodes as
  * possible.  Entries are -1 (meaning "don't pin") when the topology
- * reports no usable cpus.
+ * reports no usable cpus.  The plan is prefix-stable: planPlacement(n)
+ * is the head of planPlacement(n + k), so a worker pool and the
+ * threads placed after it can plan separately.
  */
 std::vector<int> planPlacement(std::size_t count);
 std::vector<int> planPlacement(const CpuTopology &topology,

@@ -1,11 +1,11 @@
 #include "fleet/orchestrator.hpp"
 
 #include <cstdio>
+#include <thread>
 #include <utility>
 
 #include "common/logging.hpp"
 #include "common/topology.hpp"
-#include "sdtw/batch.hpp"
 
 namespace sf::fleet {
 
@@ -45,17 +45,6 @@ void
 appendNumber(std::string &out, std::uint64_t v)
 {
     out += std::to_string(v);
-}
-
-/** The four kernel-affecting SdtwConfig switches agree (worker
-    kernels are shared, so every classifier a fleet may run — primary
-    or hot-swap target — must match the fleet's shape). */
-bool
-kernelConfigsAgree(const sdtw::SdtwConfig &a, const sdtw::SdtwConfig &b)
-{
-    return a.metric == b.metric &&
-           a.allowReferenceDeletion == b.allowReferenceDeletion &&
-           a.matchBonus == b.matchBonus && a.dwellCap == b.dwellCap;
 }
 
 } // namespace
@@ -174,20 +163,8 @@ FleetSnapshot::toJson() const
     return j;
 }
 
-FleetOrchestrator::FleetOrchestrator(FleetConfig config)
-    : config_(config),
-      queue_(config.queueCapacity, config.statBurst)
+FleetOrchestrator::FleetOrchestrator(FleetConfig config) : pool_(config)
 {
-    if (config_.workers == 0)
-        config_.workers =
-            std::max(1u, std::thread::hardware_concurrency());
-    if (config_.dispatchBatch == 0)
-        fatal("FleetOrchestrator dispatch batch must be positive");
-}
-
-FleetOrchestrator::~FleetOrchestrator()
-{
-    // run() joins everything before returning; nothing to tear down.
 }
 
 std::uint32_t
@@ -198,130 +175,57 @@ FleetOrchestrator::addSession(SessionSpec spec)
     if (spec.classifier == nullptr)
         fatal("FleetOrchestrator session '%s' has no classifier",
               spec.name.c_str());
+    // Built here, on the caller's thread: the session validates its
+    // config, fault plan and hot-swap targets (swap classifiers obey
+    // the same kernel-shape rule as sessions), and the driver threads
+    // of run() are no place for a fatal().
+    auto state = std::make_unique<SessionState>(std::move(spec));
+    const SessionSpec &s = state->spec;
     if (!sessions_.empty()) {
         // Cross-session dispatches share worker kernels, and one
         // kernel serves one recurrence shape: all sessions must agree
         // on the four kernel-affecting switches.  Reference squiggles
         // MAY differ (folds are grouped per classifier).
-        const sdtw::SdtwConfig &a =
-            sessions_.front()->spec.classifier->config();
-        if (!kernelConfigsAgree(a, spec.classifier->config()))
+        if (s.classifier->config() !=
+            sessions_.front()->spec.classifier->config())
             fatal("FleetOrchestrator session '%s' disagrees with the "
                   "fleet on kernel SdtwConfig (metric/refdel/bonus/"
                   "dwell); fleets must be config-uniform",
-                  spec.name.c_str());
+                  s.name.c_str());
     }
-    if (spec.config.faults != nullptr) {
-        // Validate the fault plan — and any hot-swap target — up
-        // front, on the caller's thread: the driver threads of run()
-        // are no place for a fatal().  A swapped-in reference re-pins
-        // the session's captures while the fleet's worker kernels
-        // keep running, so swap targets obey the same uniformity rule
-        // as the sessions themselves.
-        spec.config.faults->validate(spec.config.channels);
-        const sdtw::SdtwConfig &a = spec.classifier->config();
-        for (const stream::ReferenceHotSwap &h :
-             spec.config.faults->hotSwaps)
-            if (!kernelConfigsAgree(a, h.classifier->config()))
-                fatal("FleetOrchestrator session '%s' schedules a "
-                      "hot swap whose classifier disagrees on kernel "
-                      "SdtwConfig; swaps may change the reference "
-                      "squiggle, not the kernel shape",
-                      spec.name.c_str());
-    }
-    if (spec.config.backend == stream::DecisionBackendKind::Asic) {
+    if (s.config.backend == stream::DecisionBackendKind::Asic) {
         // Validate the modelled hardware on the caller's thread: the
         // kernel config must be implementable (mirrors AsicBackend's
         // own checks, which would otherwise fatal inside run()) and
         // every Asic session must share ONE design point — the fleet
         // models one chip, just as it shares one kernel shape.
-        const sdtw::SdtwConfig &kc = spec.classifier->config();
+        const sdtw::SdtwConfig &kc = s.classifier->config();
         if (kc.metric != sdtw::CostMetric::AbsoluteDifference ||
             kc.allowReferenceDeletion)
             fatal("FleetOrchestrator session '%s' requests the asic "
                   "backend with a kernel config the hardware cannot "
                   "implement (needs absolute-difference metric, no "
                   "reference deletions)",
-                  spec.name.c_str());
-        if (spec.config.asic.arrayDim == 0 ||
-            spec.config.asic.clockGhz <= 0.0)
+                  s.name.c_str());
+        if (s.config.asic.arrayDim == 0 || s.config.asic.clockGhz <= 0.0)
             fatal("FleetOrchestrator session '%s' has a degenerate "
                   "AsicSpec (arrayDim/clockGhz must be positive)",
-                  spec.name.c_str());
-        if (hasAsic_ && spec.config.asic != asicSpec_)
+                  s.name.c_str());
+        if (hasAsic_ && s.config.asic != asicSpec_)
             fatal("FleetOrchestrator session '%s' disagrees with the "
                   "fleet on the AsicSpec design point; a fleet models "
                   "one chip (arrayDim/dataflow/clock must match)",
-                  spec.name.c_str());
-        asicSpec_ = spec.config.asic;
+                  s.name.c_str());
+        asicSpec_ = s.config.asic;
         hasAsic_ = true;
     }
     const std::uint32_t id =
-        queue_.registerSession(spec.qos, config_.sessionQuota);
-    sessions_.push_back(
-        std::make_unique<SessionState>(std::move(spec)));
+        pool_.registerSession(s.qos, s.config.backend);
+    sessions_.push_back(std::move(state));
     if (id != std::uint32_t(sessions_.size() - 1))
-        panic("FleetOrchestrator session id drifted from queue "
+        panic("FleetOrchestrator session id drifted from pool "
               "registration order");
     return id;
-}
-
-bool
-FleetOrchestrator::submit(stream::DecisionRequest request)
-{
-    const std::uint32_t session = request.sessionId;
-    return queue_.push(session, std::move(request));
-}
-
-void
-FleetOrchestrator::workerMain(WorkerBackendSet &backends)
-{
-    // A mixed fleet interleaves software and modelled-ASIC sessions
-    // on the same queue: each dispatch is partitioned by the backend
-    // its requests' sessions selected (stable, so same-classifier
-    // requests keep their queue order and still group into one lane
-    // batch) and each partition folds on that backend's engine.
-    std::array<sdtw::FoldStats, stream::kDecisionBackendKinds> prev{};
-    std::vector<stream::DecisionRequest> batch;
-    std::vector<stream::DecisionRequest> part;
-    QosClass served = QosClass::Research;
-    const auto linger =
-        std::chrono::microseconds(config_.dispatchLingerUs);
-    while (queue_.popBatch(batch, config_.dispatchBatch, &served,
-                           linger)) {
-        dispatches_.fetch_add(1, std::memory_order_relaxed);
-        dispatchedRequests_.fetch_add(batch.size(),
-                                      std::memory_order_relaxed);
-        dispatchesByClass_[std::size_t(served)].fetch_add(
-            1, std::memory_order_relaxed);
-        for (std::size_t b = 0; b < stream::kDecisionBackendKinds;
-             ++b) {
-            part.clear();
-            for (stream::DecisionRequest &req : batch)
-                if (std::size_t(req.backend) == b)
-                    part.push_back(std::move(req));
-            if (part.empty())
-                continue;
-            stream::DecisionBackend *backend = backends.byKind[b].get();
-            if (backend == nullptr)
-                panic("fleet dispatch carries a request for backend "
-                      "'%s' but no session registered it",
-                      stream::decisionBackendName(
-                          stream::DecisionBackendKind(b)));
-            backend->fold(part);
-            requestsByBackend_[b].fetch_add(part.size(),
-                                            std::memory_order_relaxed);
-            // Publish lane telemetry per dispatch (not at thread
-            // exit) so a mid-run snapshot sees live occupancy.
-            const sdtw::FoldStats &fs = backend->foldStats();
-            laneJobs_.fetch_add(fs.laneJobs - prev[b].laneJobs,
-                                std::memory_order_relaxed);
-            laneSlots_.fetch_add(fs.laneSlots - prev[b].laneSlots,
-                                 std::memory_order_relaxed);
-            prev[b] = fs;
-        }
-        batch.clear();
-    }
 }
 
 FleetResult
@@ -335,47 +239,19 @@ FleetOrchestrator::run()
     if (started_.exchange(true, std::memory_order_acq_rel))
         fatal("FleetOrchestrator::run may be called once");
 
-    // Node-compact placement, workers first, then session drivers —
-    // a fleet smaller than one node shares that node end to end.
-    // Wall-clock only: pinning must never change a decision log.
-    std::vector<int> placement;
-    if (config_.pinWorkers)
-        placement = topo::planPlacement(config_.workers +
-                                        sessions_.size());
-    const auto plannedCpu = [&](std::size_t slot) {
-        return config_.pinWorkers ? placement[slot] : -1;
-    };
-
-    // Build every worker's backend set on THIS thread (a fatal
-    // configuration must not fire inside a pool thread).  Only the
-    // kinds some session actually selected are instantiated; every
-    // fleet session shares the recurrence config (enforced in
+    // Every fleet session shares the recurrence config (enforced in
     // addSession), so one kernel shape serves them all.
-    std::array<bool, stream::kDecisionBackendKinds> kindInUse{};
-    for (const auto &state : sessions_)
-        kindInUse[std::size_t(state->spec.config.backend)] = true;
-    const sdtw::SdtwConfig &kernelConfig =
-        sessions_.front()->spec.classifier->config();
-    const std::size_t lanes = std::max<std::size_t>(
-        config_.dispatchBatch, sdtw::BatchSdtw::kDefaultSerialCutover);
-    std::vector<WorkerBackendSet> workerBackends(config_.workers);
-    for (unsigned w = 0; w < config_.workers; ++w)
-        for (std::size_t b = 0; b < stream::kDecisionBackendKinds; ++b)
-            if (kindInUse[b])
-                workerBackends[w].byKind[b] =
-                    stream::makeDecisionBackend(
-                        stream::DecisionBackendKind(b), asicSpec_,
-                        kernelConfig, lanes, config_.laneBatching);
+    pool_.start(sessions_.front()->spec.classifier->config(), asicSpec_);
 
-    std::vector<std::thread> workers;
-    workers.reserve(config_.workers);
-    for (unsigned w = 0; w < config_.workers; ++w)
-        workers.emplace_back(
-            [this, cpu = plannedCpu(w), &set = workerBackends[w]] {
-                if (cpu >= 0)
-                    topo::pinThreadToCpu(cpu);
-                workerMain(set);
-            });
+    // Node-compact placement, workers first, then session drivers —
+    // a fleet smaller than one node shares that node end to end.  The
+    // pool pinned its workers to the head of the same prefix-stable
+    // plan; the drivers take its tail.  Wall-clock only: pinning must
+    // never change a decision log.
+    const unsigned workers = pool_.config().workers;
+    std::vector<int> placement(workers + sessions_.size(), -1);
+    if (pool_.config().pinWorkers)
+        placement = topo::planPlacement(placement.size());
 
     // One driver thread per session: each runs its own virtual-time
     // event loop and blocks (backpressure) independently.
@@ -384,14 +260,11 @@ FleetOrchestrator::run()
     for (std::size_t i = 0; i < sessions_.size(); ++i) {
         SessionState &state = *sessions_[i];
         drivers.emplace_back(
-            [this, &state, i,
-             cpu = plannedCpu(config_.workers + i)] {
+            [this, &state, i, cpu = placement[workers + i]] {
                 if (cpu >= 0)
                     topo::pinThreadToCpu(cpu);
-                const stream::ReadUntilSession session(
-                    *state.spec.classifier, state.spec.config);
-                state.result = session.runShared(
-                    *this, state.spec.reads, std::uint32_t(i),
+                state.result = state.session.runShared(
+                    pool_, state.spec.reads, std::uint32_t(i),
                     &state.live);
             });
     }
@@ -399,10 +272,8 @@ FleetOrchestrator::run()
         driver.join();
 
     // All event loops drained their in-flight requests before
-    // returning, so closing here strands no completion.
-    queue_.close();
-    for (std::thread &worker : workers)
-        worker.join();
+    // returning, so shutting down here strands no completion.
+    pool_.shutdown();
 
     wallSecondsFinal_.store(
         std::chrono::duration<double>(Clock::now() - runStart_)
@@ -436,25 +307,26 @@ FleetOrchestrator::snapshot() const
             ? wallSecondsFinal_.load(std::memory_order_acquire)
             : std::chrono::duration<double>(Clock::now() - runStart_)
                   .count();
-    snap.dispatches = dispatches_.load(std::memory_order_relaxed);
-    snap.dispatchedRequests =
-        dispatchedRequests_.load(std::memory_order_relaxed);
+    const auto rel = [](const std::atomic<std::uint64_t> &a) {
+        return a.load(std::memory_order_relaxed);
+    };
+    const stream::PoolCounters &pool = pool_.counters();
+    snap.dispatches = rel(pool.dispatches);
+    snap.dispatchedRequests = rel(pool.dispatchedRequests);
     snap.meanBatchSize =
         snap.dispatches > 0
             ? double(snap.dispatchedRequests) / double(snap.dispatches)
             : 0.0;
-    snap.laneJobs = laneJobs_.load(std::memory_order_relaxed);
-    snap.laneSlots = laneSlots_.load(std::memory_order_relaxed);
+    snap.laneJobs = rel(pool.laneJobs);
+    snap.laneSlots = rel(pool.laneSlots);
     snap.laneOccupancy =
         snap.laneSlots > 0
             ? double(snap.laneJobs) / double(snap.laneSlots)
             : 0.0;
     for (std::size_t c = 0; c < kQosClasses; ++c)
-        snap.dispatchesByClass[c] =
-            dispatchesByClass_[c].load(std::memory_order_relaxed);
+        snap.dispatchesByClass[c] = rel(pool.dispatchesByClass[c]);
     for (std::size_t b = 0; b < stream::kDecisionBackendKinds; ++b)
-        snap.requestsByBackend[b] =
-            requestsByBackend_[b].load(std::memory_order_relaxed);
+        snap.requestsByBackend[b] = rel(pool.requestsByBackend[b]);
 
     snap.sessions.reserve(sessions_.size());
     for (std::size_t i = 0; i < sessions_.size(); ++i) {
@@ -463,7 +335,7 @@ FleetOrchestrator::snapshot() const
         s.name = state.spec.name;
         s.qos = state.spec.qos;
         s.backend = state.spec.config.backend;
-        s.queueDepth = queue_.depth(std::uint32_t(i));
+        s.queueDepth = pool_.queue().depth(std::uint32_t(i));
         s.chunksEmitted =
             state.live.chunksEmitted.load(std::memory_order_relaxed);
         s.decisions =
@@ -472,10 +344,7 @@ FleetOrchestrator::snapshot() const
             state.live.finished.load(std::memory_order_acquire);
 
         const stream::LiveDegradation &d = state.live.degradation;
-        const auto rel = [](const std::atomic<std::uint64_t> &a) {
-            return a.load(std::memory_order_relaxed);
-        };
-        s.backpressureStalls = queue_.stalls(std::uint32_t(i));
+        s.backpressureStalls = pool_.queue().stalls(std::uint32_t(i));
         s.deadChannels = rel(d.deadChannels);
         s.recoveringChannels = rel(d.recoveringChannels);
         s.dropouts = rel(d.dropouts);

@@ -39,58 +39,20 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "fleet/qos_queue.hpp"
 #include "sdtw/filter.hpp"
 #include "signal/read.hpp"
-#include "stream/decision_service.hpp"
+#include "stream/decision_pool.hpp"
 #include "stream/session.hpp"
 
 namespace sf::fleet {
 
-/** Shared worker-pool and admission configuration. */
-struct FleetConfig
-{
-    /** Shared classifier threads (0 = hardware concurrency). */
-    unsigned workers = 2;
-    /** Shared bounded queue capacity across all sessions. */
-    std::size_t queueCapacity = 256;
-    /** Max requests per worker pull (= max SIMD fold width used). */
-    std::size_t dispatchBatch = 16;
-    /**
-     * Admission quota: max queued requests per session (0 =
-     * unlimited, only the shared capacity throttles).  A session over
-     * quota blocks at capture time; chunks are never dropped.
-     */
-    std::size_t sessionQuota = 0;
-    /** Research starvation bound: a queued Research dispatch waits at
-        most this many consecutive Stat dispatches.  Must be >= 1. */
-    std::size_t statBurst = 4;
-    /**
-     * Batching linger: once a worker sees its first queued request it
-     * waits up to this long for the batch to fill before dispatching
-     * (0 = pop eagerly).  Sessions re-queue within microseconds of a
-     * completed dispatch; without the linger a worker shreds those
-     * co-arriving requests into ragged sub-width serial folds.  Pure
-     * wall-clock tuning — decision logs are unaffected.
-     */
-    std::size_t dispatchLingerUs = 250;
-    /** Fold cross-session dispatches as SIMD lane batches. */
-    bool laneBatching = true;
-    /**
-     * Topology-aware placement: pin pool workers and session driver
-     * threads to cpus (sf::topo::planPlacement, node-compact, workers
-     * first) so each worker's lane-batch kernel scratch and the
-     * sessions it serves stay on one NUMA node instead of bouncing
-     * tiled batch state between sockets.  Decision logs are
-     * bit-identical with pinning on or off — placement may only move
-     * wall-clock latency (pinned in tests/test_fleet.cpp) — and the
-     * knob is a graceful no-op on hosts without affinity support.
-     */
-    bool pinWorkers = false;
-};
+/** Shared worker-pool and admission configuration: the settings of
+    the fleet's stream::DecisionPool (workers, queue, dispatch width,
+    admission quota, statBurst, linger, lane batching, pinning). */
+using FleetConfig = stream::PoolConfig;
 
 /** One flowcell session to shard onto the shared pool. */
 struct SessionSpec
@@ -102,7 +64,8 @@ struct SessionSpec
         dwell cap) — addSession() fatals otherwise. */
     const sdtw::SquiggleFilterClassifier *classifier = nullptr;
     /** Flowcell parameters.  workers/queueCapacity/dispatchBatch/
-        laneBatching are the fleet's concern and ignored here. */
+        laneBatching/pinWorkers are the fleet's concern and ignored
+        here. */
     stream::SessionConfig config;
     QosClass qos = QosClass::Research;
     /** Reads this flowcell sequences; must outlive run(). */
@@ -203,15 +166,15 @@ struct FleetResult
 };
 
 /**
- * Runs N registered sessions over one shared QoS-aware worker pool.
- * Usage: construct, addSession() each flowcell, run() once.
- * snapshot() may be called from any thread while run() is in flight.
+ * Runs N registered sessions over one shared QoS-aware
+ * stream::DecisionPool.  Usage: construct, addSession() each flowcell,
+ * run() once.  snapshot() may be called from any thread while run()
+ * is in flight.
  */
-class FleetOrchestrator final : public stream::DecisionService
+class FleetOrchestrator final
 {
   public:
     explicit FleetOrchestrator(FleetConfig config);
-    ~FleetOrchestrator() override;
 
     FleetOrchestrator(const FleetOrchestrator &) = delete;
     FleetOrchestrator &operator=(const FleetOrchestrator &) = delete;
@@ -236,37 +199,24 @@ class FleetOrchestrator final : public stream::DecisionService
         an empty snapshot rather than racing addSession(). */
     FleetSnapshot snapshot() const;
 
-    /** DecisionService: called by the sessions' event loops. */
-    bool submit(stream::DecisionRequest request) override;
-
-    /** The configuration in effect. */
-    const FleetConfig &config() const { return config_; }
+    /** The configuration in effect (workers resolved). */
+    const FleetConfig &config() const { return pool_.config(); }
 
   private:
     struct SessionState
     {
         SessionSpec spec;
+        stream::ReadUntilSession session;
         stream::SessionLiveCounters live;
         stream::SessionResult result;
 
-        explicit SessionState(SessionSpec s) : spec(std::move(s)) {}
+        explicit SessionState(SessionSpec s)
+            : spec(std::move(s)), session(*spec.classifier, spec.config)
+        {
+        }
     };
 
-    /** One worker's decision engines, one per backend kind a fleet
-        session may request (the asic slot stays null in an
-        all-software fleet).  Constructed on the run() thread so a
-        fatal configuration never fires inside a worker. */
-    struct WorkerBackendSet
-    {
-        std::array<std::unique_ptr<stream::DecisionBackend>,
-                   stream::kDecisionBackendKinds>
-            byKind;
-    };
-
-    void workerMain(WorkerBackendSet &backends);
-
-    FleetConfig config_;
-    QosBoundedQueue<stream::DecisionRequest> queue_;
+    stream::DecisionPool pool_;
     std::vector<std::unique_ptr<SessionState>> sessions_;
     /** Design point shared by every Asic session (addSession enforces
         uniformity: one modelled chip per fleet, like the kernel
@@ -278,16 +228,6 @@ class FleetOrchestrator final : public stream::DecisionService
     std::atomic<bool> finished_{false};
     std::chrono::steady_clock::time_point runStart_{};
 
-    // Pool-level telemetry, updated per dispatch by the workers.
-    std::atomic<std::uint64_t> dispatches_{0};
-    std::atomic<std::uint64_t> dispatchedRequests_{0};
-    std::array<std::atomic<std::uint64_t>, kQosClasses>
-        dispatchesByClass_{};
-    std::array<std::atomic<std::uint64_t>,
-               stream::kDecisionBackendKinds>
-        requestsByBackend_{};
-    std::atomic<std::uint64_t> laneJobs_{0};
-    std::atomic<std::uint64_t> laneSlots_{0};
     std::atomic<double> wallSecondsFinal_{0.0};
 };
 

@@ -55,6 +55,10 @@ struct SdtwConfig
 
     /** Short human-readable description for bench output. */
     std::string describe() const;
+
+    /** The four switches are the kernel's shape: equal configs can
+        share one lane-batch kernel. */
+    bool operator==(const SdtwConfig &other) const = default;
 };
 
 /** Vanilla sDTW: squared metric, reference deletions, no bonus. */

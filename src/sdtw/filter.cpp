@@ -182,10 +182,7 @@ SquiggleFilterClassifier::feedChunkBatch(std::span<StreamFeed> feeds,
 {
     const SdtwConfig &kcfg = kernel.config();
     const SdtwConfig &cfg = engine_.config();
-    if (kcfg.metric != cfg.metric ||
-        kcfg.allowReferenceDeletion != cfg.allowReferenceDeletion ||
-        kcfg.matchBonus != cfg.matchBonus ||
-        kcfg.dwellCap != cfg.dwellCap) {
+    if (kcfg != cfg) {
         fatal("feedChunkBatch kernel config (%s) does not match the "
               "classifier (%s)",
               kcfg.describe().c_str(), cfg.describe().c_str());

@@ -66,17 +66,7 @@ struct AsicSpec
     /** Synthesised clock; Table 4 closes timing at 2.5 GHz. */
     double clockGhz = 2.5;
 
-    friend bool
-    operator==(const AsicSpec &a, const AsicSpec &b)
-    {
-        return a.arrayDim == b.arrayDim && a.dataflow == b.dataflow &&
-               a.clockGhz == b.clockGhz;
-    }
-    friend bool
-    operator!=(const AsicSpec &a, const AsicSpec &b)
-    {
-        return !(a == b);
-    }
+    bool operator==(const AsicSpec &other) const = default;
 };
 
 /**

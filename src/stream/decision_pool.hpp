@@ -1,0 +1,166 @@
+#ifndef SF_STREAM_DECISION_POOL_HPP
+#define SF_STREAM_DECISION_POOL_HPP
+
+/**
+ * @file
+ * The one worker pool that executes decision requests.
+ *
+ * In the paper one SquiggleFilter array serves every channel of the
+ * flowcell; here one DecisionPool serves every session that submits
+ * to it.  ReadUntilSession::run() drives a pool of one Stat session
+ * with no quota and no linger; fleet::FleetOrchestrator registers N
+ * sessions of both QoS classes on one pool.  Either way the pool owns
+ * the same parts:
+ *  - one QosBoundedQueue (backpressure, QoS classes, admission);
+ *  - per-worker DecisionBackends, built on the caller's thread so a
+ *    configuration the backend cannot support fatals before any
+ *    worker thread exists;
+ *  - node-compact worker pinning;
+ *  - the popBatch -> partition by backend kind -> fold loop;
+ *  - the dispatch, class, backend and SIMD-lane counters, readable
+ *    mid-run.
+ */
+
+#include <array>
+#include <atomic>
+#include <cstddef>
+#include <cstdint>
+#include <memory>
+#include <thread>
+#include <vector>
+
+#include "stream/chunk_queue.hpp"
+#include "stream/decision_service.hpp"
+
+namespace sf::stream {
+
+/** Worker-pool, queue and admission settings. */
+struct PoolConfig
+{
+    /** Classifier threads (0 = hardware concurrency). */
+    unsigned workers = 2;
+    /** Bounded queue capacity shared by every session. */
+    std::size_t queueCapacity = 256;
+    /** Max requests per worker pull (= max SIMD fold width used). */
+    std::size_t dispatchBatch = 16;
+    /**
+     * Admission quota: max queued requests per session (0 =
+     * unlimited, only the shared capacity throttles).  A session over
+     * quota blocks at capture time; chunks are never dropped.
+     */
+    std::size_t sessionQuota = 0;
+    /** Research starvation bound: a queued Research dispatch waits at
+        most this many consecutive Stat dispatches.  Must be >= 1. */
+    std::size_t statBurst = 4;
+    /**
+     * Batching linger: once a worker sees its first queued request it
+     * waits up to this long for the batch to fill before dispatching
+     * (0 = pop eagerly).  Sessions re-queue within microseconds of a
+     * completed dispatch; without the linger a worker shreds those
+     * co-arriving requests into ragged sub-width serial folds.  Pure
+     * wall-clock tuning — decision logs are unaffected.
+     */
+    std::size_t dispatchLingerUs = 250;
+    /** Fold each dispatch's requests as SIMD lane batches. */
+    bool laneBatching = true;
+    /**
+     * Topology-aware placement: pin pool workers (and, in a fleet,
+     * the session driver threads after them) to cpus
+     * (sf::topo::planPlacement, node-compact, workers first) so each
+     * worker's lane-batch kernel scratch and the sessions it serves
+     * stay on one NUMA node instead of bouncing tiled batch state
+     * between sockets.  Decision logs are bit-identical with pinning
+     * on or off — placement may only move wall-clock latency (pinned
+     * in tests/test_fleet.cpp and tests/test_stream.cpp) — and the
+     * knob is a graceful no-op on hosts without affinity support.
+     */
+    bool pinWorkers = false;
+};
+
+/** Pool-level telemetry, cumulative since start() and ticked per
+    dispatch (relaxed: exact once the pool is shut down). */
+struct PoolCounters
+{
+    using Counter = std::atomic<std::uint64_t>;
+
+    Counter dispatches{0};         //!< worker batch pulls
+    Counter dispatchedRequests{0}; //!< requests across them
+    /** SIMD lane telemetry: laneJobs/laneSlots = occupancy. */
+    Counter laneJobs{0};
+    Counter laneSlots{0};
+    /** Dispatches served per QoS class (index = QosClass). */
+    std::array<Counter, kQosClasses> dispatchesByClass{};
+    /** Requests folded per backend (index = DecisionBackendKind). */
+    std::array<Counter, kDecisionBackendKinds> requestsByBackend{};
+};
+
+/**
+ * Shared worker pool behind the DecisionService seam.  Usage:
+ * construct, registerSession() each submitter, start() once, submit()
+ * from the sessions' event loops, shutdown() after every event loop
+ * returned.  counters() and queue() are safe to read from any thread
+ * at any time.
+ */
+class DecisionPool final : public DecisionService
+{
+  public:
+    explicit DecisionPool(PoolConfig config);
+    ~DecisionPool() override;
+
+    DecisionPool(const DecisionPool &) = delete;
+    DecisionPool &operator=(const DecisionPool &) = delete;
+
+    /**
+     * Register a session that will submit requests for @p backend
+     * under QoS class @p cls; returns the sessionId its requests must
+     * carry.  Call before start().
+     */
+    std::uint32_t registerSession(QosClass cls,
+                                  DecisionBackendKind backend);
+
+    /**
+     * Build each worker's engines — one per backend kind a registered
+     * session selected, all sharing the kernel shape @p kernel and the
+     * design point @p asic — on this thread, then start the workers.
+     * Fatals on a configuration a backend cannot implement.
+     */
+    void start(const sdtw::SdtwConfig &kernel, const AsicSpec &asic);
+
+    /** Enqueue for the workers; blocks under backpressure. */
+    bool submit(DecisionRequest request) override;
+
+    /** Close the queue and join the workers (idempotent).  Queued
+        requests are folded first, so no completion is stranded. */
+    void shutdown();
+
+    /** Live pool telemetry. */
+    const PoolCounters &counters() const { return counters_; }
+
+    /** The request queue (per-session depth and stalls). */
+    const QosBoundedQueue<DecisionRequest> &queue() const { return queue_; }
+
+    /** Summed modelled-hardware ledger; call after shutdown(). */
+    ModeledHwStats modeledStats() const;
+
+    /** The configuration in effect (workers resolved). */
+    const PoolConfig &config() const { return config_; }
+
+  private:
+    /** One worker's engines, indexed by DecisionBackendKind (null for
+        a kind no session selected). */
+    using BackendSet =
+        std::array<std::unique_ptr<DecisionBackend>, kDecisionBackendKinds>;
+
+    void workerMain(BackendSet &backends);
+
+    PoolConfig config_;
+    QosBoundedQueue<DecisionRequest> queue_;
+    std::array<bool, kDecisionBackendKinds> kindInUse_{};
+    std::vector<BackendSet> backends_;
+    PoolCounters counters_;
+    std::vector<std::thread> workers_; //!< last: uses every member above
+};
+
+} // namespace sf::stream
+
+#endif // SF_STREAM_DECISION_POOL_HPP

@@ -6,9 +6,10 @@
  * The seam between a Read Until session's virtual-time event loop and
  * whatever executes its sDTW decision requests.
  *
- * ReadUntilSession::run() owns a private worker pool;
- * fleet::FleetOrchestrator shards many sessions over one shared pool.
- * Both meet at DecisionService: the event loop submits
+ * The one implementation is stream::DecisionPool
+ * (decision_pool.hpp): ReadUntilSession::run() drives a pool of one
+ * session, fleet::FleetOrchestrator shards many sessions over one
+ * shared pool.  Both meet at DecisionService: the event loop submits
  * DecisionRequests — submit() blocks under backpressure, so an
  * outrunning session is throttled at capture time and chunks are
  * never dropped — and awaits completion on its session-owned
@@ -122,9 +123,9 @@ struct DecisionRequest
     bool endOfRead = false;
     CompletionBoard *board = nullptr;
     std::size_t slot = 0;        //!< channel index within the board
-    std::uint32_t sessionId = 0; //!< admission bookkeeping (fleet)
-    /** Engine the submitting session selected; a shared fleet pool
-        routes each request to its worker's backend of this kind. */
+    std::uint32_t sessionId = 0; //!< pool registration id (admission)
+    /** Engine the submitting session selected; the pool routes each
+        request to its worker's backend of this kind. */
     DecisionBackendKind backend = DecisionBackendKind::Software;
     std::chrono::steady_clock::time_point enqueued{};
 };
@@ -214,8 +215,8 @@ void foldDispatch(std::vector<DecisionRequest> &batch,
  * One worker's decision engine: folds dispatches through the shared
  * quantised DP and decides what latency each decision is charged.
  * Implementations are NOT thread-safe — one instance per worker,
- * constructed on the session/orchestrator main thread so a bad
- * configuration fatals before any worker thread exists.
+ * constructed by DecisionPool::start() on the caller's thread so a
+ * bad configuration fatals before any worker thread exists.
  *
  * Every backend produces bit-identical scores, decisions and
  * checkpoint states (the fold is the same kernel); only the latency

@@ -2,17 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
-#include <mutex>
 #include <queue>
 #include <thread>
 
 #include "common/logging.hpp"
 #include "common/rng.hpp"
-#include "common/topology.hpp"
-#include "sdtw/batch.hpp"
 #include "signal/chunk_source.hpp"
-#include "stream/chunk_queue.hpp"
-#include "stream/decision_service.hpp"
+#include "stream/decision_pool.hpp"
 
 namespace sf::stream {
 
@@ -100,112 +96,8 @@ struct Channel
 };
 
 /**
- * The session-private worker pool behind ReadUntilSession::run():
- * a bounded MPMC queue plus real classifier threads, each folding its
- * dispatch pulls as SIMD lane batches via the shared foldDispatch().
- * The fleet orchestrator implements the same DecisionService seam
- * over a QoS-aware shared queue — the event loop cannot tell them
- * apart, which is what keeps the decision log identical between
- * run() and runShared().
- */
-class LocalDecisionService final : public DecisionService
-{
-  public:
-    LocalDecisionService(const sdtw::SdtwConfig &kernel_config,
-                         const SessionConfig &config)
-        : queue_(config.queueCapacity)
-    {
-        // Build every worker's backend on THIS thread: a backend the
-        // configuration cannot support (e.g. modelled hardware for a
-        // non-hardware kernel config) fatals here, before any worker
-        // thread exists.  Each worker owns one backend — the software
-        // one wraps the per-worker lane-batch kernel sized to its
-        // dispatch pull, the modelled-ASIC one folds through the same
-        // kernel and substitutes cycle-model latency.
-        const std::size_t lanes = std::max<std::size_t>(
-            config.dispatchBatch, sdtw::BatchSdtw::kDefaultSerialCutover);
-        backends_.reserve(config.workers);
-        for (unsigned w = 0; w < config.workers; ++w)
-            backends_.push_back(makeDecisionBackend(
-                config.backend, config.asic, kernel_config, lanes,
-                config.laneBatching));
-
-        // Node-compact worker placement (wall-clock only: pinning
-        // must never change a decision, see SessionConfig).
-        const std::vector<int> placement =
-            config.pinWorkers ? topo::planPlacement(config.workers)
-                              : std::vector<int>{};
-        workers_.reserve(config.workers);
-        for (unsigned w = 0; w < config.workers; ++w) {
-            const int cpu = config.pinWorkers ? placement[w] : -1;
-            DecisionBackend *backend = backends_[w].get();
-            workers_.emplace_back([this, backend, config, cpu]() {
-                if (cpu >= 0)
-                    topo::pinThreadToCpu(cpu);
-                std::vector<DecisionRequest> batch;
-                while (queue_.popBatch(batch, config.dispatchBatch)) {
-                    backend->fold(batch);
-                    {
-                        std::lock_guard lock(statsMutex_);
-                        ++dispatches_;
-                        dispatchedRequests_ += batch.size();
-                    }
-                    batch.clear();
-                }
-            });
-        }
-    }
-
-    ~LocalDecisionService() override { shutdown(); }
-
-    bool
-    submit(DecisionRequest request) override
-    {
-        return queue_.push(std::move(request)); // blocks when full
-    }
-
-    /** Close the queue and join the workers (idempotent). */
-    void
-    shutdown()
-    {
-        queue_.close();
-        for (std::thread &worker : workers_)
-            if (worker.joinable())
-                worker.join();
-    }
-
-    std::uint64_t dispatches() const { return dispatches_; }
-
-    double
-    meanBatchSize() const
-    {
-        return dispatches_ > 0
-                   ? double(dispatchedRequests_) / double(dispatches_)
-                   : 0.0;
-    }
-
-    /** Summed modelled-hardware ledger; call after shutdown(). */
-    ModeledHwStats
-    modeledStats() const
-    {
-        ModeledHwStats total;
-        for (const auto &backend : backends_)
-            total.accumulate(backend->modeledStats());
-        return total;
-    }
-
-  private:
-    BoundedQueue<DecisionRequest> queue_;
-    std::vector<std::unique_ptr<DecisionBackend>> backends_;
-    std::vector<std::thread> workers_;
-    std::mutex statsMutex_;
-    std::uint64_t dispatches_ = 0;
-    std::uint64_t dispatchedRequests_ = 0;
-};
-
-/**
- * The virtual-time flowcell event loop, shared by run() (private
- * pool) and runShared() (fleet pool).
+ * The virtual-time flowcell event loop, shared by run() (a pool of
+ * its own) and runShared() (any DecisionService, e.g. a fleet's pool).
  *
  * Completion protocol — the happens-before chain TSan audits:
  *   1. event loop: board.markPending(c) (slot armed under the board
@@ -736,19 +628,14 @@ ReadUntilSession::ReadUntilSession(
         config_.faults->validate(config_.channels);
         // A hot swap re-points captures at a new reference while the
         // worker kernels (sized once from the primary's SdtwConfig)
-        // keep running — so every swap target must agree on the four
-        // kernel-affecting switches, exactly like fleet sessions.
-        const sdtw::SdtwConfig &a = classifier_.config();
-        for (const ReferenceHotSwap &h : config_.faults->hotSwaps) {
-            const sdtw::SdtwConfig &b = h.classifier->config();
-            if (a.metric != b.metric ||
-                a.allowReferenceDeletion != b.allowReferenceDeletion ||
-                a.matchBonus != b.matchBonus || a.dwellCap != b.dwellCap)
+        // keep running — so every swap target must agree on the
+        // kernel shape, exactly like fleet sessions.
+        for (const ReferenceHotSwap &h : config_.faults->hotSwaps)
+            if (h.classifier->config() != classifier_.config())
                 fatal("FaultPlan hot-swap classifier disagrees with "
                       "the session on kernel SdtwConfig (metric/refdel/"
                       "bonus/dwell); swaps may change the reference "
                       "squiggle, not the kernel shape");
-        }
     }
 }
 
@@ -756,11 +643,23 @@ SessionResult
 ReadUntilSession::run(std::span<const signal::ReadRecord> reads) const
 {
     const auto wall_start = Clock::now();
-    LocalDecisionService service(classifier_.config(), config_);
-    SessionResult out =
-        runEventLoop(classifier_, config_, reads, service,
-                     /*session_id=*/0, /*live=*/nullptr);
-    service.shutdown();
+    // One Stat session, no quota, no linger: the pool reduces to a
+    // plain bounded FIFO in front of config().workers workers.
+    PoolConfig pool_config;
+    pool_config.workers = config_.workers;
+    pool_config.queueCapacity = config_.queueCapacity;
+    pool_config.dispatchBatch = config_.dispatchBatch;
+    pool_config.statBurst = 1;
+    pool_config.dispatchLingerUs = 0;
+    pool_config.laneBatching = config_.laneBatching;
+    pool_config.pinWorkers = config_.pinWorkers;
+    DecisionPool pool(pool_config);
+    const std::uint32_t session_id =
+        pool.registerSession(QosClass::Stat, config_.backend);
+    pool.start(classifier_.config(), config_.asic);
+    SessionResult out = runEventLoop(classifier_, config_, reads, pool,
+                                     session_id, /*live=*/nullptr);
+    pool.shutdown();
     // Pool-level statistics, and the wall clock including the drain
     // and join so throughput numbers stay comparable with earlier
     // baselines of this method.
@@ -769,9 +668,13 @@ ReadUntilSession::run(std::span<const signal::ReadRecord> reads) const
     out.stats.wallSeconds = wall_sec;
     out.stats.chunksPerSec =
         wall_sec > 0.0 ? double(out.stats.chunksEmitted) / wall_sec : 0.0;
-    out.stats.dispatches = service.dispatches();
-    out.stats.meanBatchSize = service.meanBatchSize();
-    out.stats.hwModel = service.modeledStats();
+    const PoolCounters &counters = pool.counters();
+    out.stats.dispatches = counters.dispatches;
+    out.stats.meanBatchSize =
+        out.stats.dispatches > 0 ? double(counters.dispatchedRequests) /
+                                       double(out.stats.dispatches)
+                                 : 0.0;
+    out.stats.hwModel = pool.modeledStats();
     return out;
 }
 

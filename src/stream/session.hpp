@@ -21,9 +21,10 @@
  *    per-decision latency percentiles and sustained chunk throughput
  *    of the real sDTW work fanned across the worker pool.
  *
- * Decision requests flow through a bounded MPMC queue (backpressure:
- * the event source blocks when classification falls behind) and
- * workers drain it in cross-channel batches per dispatch.
+ * Decision requests flow through a stream::DecisionPool — a bounded
+ * MPMC queue (backpressure: the event source blocks when
+ * classification falls behind) whose workers drain it in
+ * cross-channel batches per dispatch.
  */
 
 #include <cstdint>
@@ -205,17 +206,18 @@ class ReadUntilSession
 
     /**
      * Run the same flowcell against an external decision service — a
-     * shared fleet worker pool — instead of a private one.
-     * config().workers, queueCapacity, dispatchBatch and laneBatching
-     * are the service's concern and ignored here; the decision log is
-     * bit-identical to run() regardless, because every virtual-time
-     * outcome depends only on the session seed, config and reads.
-     * Wall-clock statistics (latency percentiles, chunks/s) reflect
-     * the shared pool; dispatches/meanBatchSize are pool-level and
-     * left zero.  @p session_id tags every submitted request so the
-     * service can do per-session admission accounting, and @p live
-     * (optional) is ticked as chunks surface and decisions apply so
-     * an orchestrator can snapshot progress mid-run.
+     * shared fleet worker pool — instead of a pool of its own.
+     * config().workers, queueCapacity, dispatchBatch, laneBatching and
+     * pinWorkers are the service's concern and ignored here; the
+     * decision log is bit-identical to run() regardless, because
+     * every virtual-time outcome depends only on the session seed,
+     * config and reads.  Wall-clock statistics (latency percentiles,
+     * chunks/s) reflect the shared pool; dispatches/meanBatchSize are
+     * pool-level and left zero.  @p session_id tags every submitted
+     * request so the service can do per-session admission accounting,
+     * and @p live (optional) is ticked as chunks surface and
+     * decisions apply so an orchestrator can snapshot progress
+     * mid-run.
      */
     SessionResult runShared(DecisionService &service,
                             std::span<const signal::ReadRecord> reads,

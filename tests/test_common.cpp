@@ -335,6 +335,21 @@ TEST(CpuList, MalformedInputsYieldEmptyNotWrongPlacement)
     EXPECT_TRUE(topo::parseCpuList("-1-3").empty());
 }
 
+TEST(CpuList, PlacementIsNodeCompactAndPrefixStable)
+{
+    // A pool plans its workers alone and a fleet pins its drivers to
+    // the tail of a longer plan: the shorter plan must be the head of
+    // the longer one, wrap included.
+    topo::CpuTopology two_nodes;
+    two_nodes.nodes = {topo::NumaNode{0, {0, 2}}, topo::NumaNode{1, {1, 3}}};
+    two_nodes.cpuCount = 4;
+    const auto plan = topo::planPlacement(two_nodes, 6);
+    EXPECT_EQ(plan, (std::vector<int>{0, 2, 1, 3, 0, 2}));
+    for (std::size_t n = 0; n <= plan.size(); ++n)
+        EXPECT_EQ(topo::planPlacement(two_nodes, n),
+                  std::vector<int>(plan.begin(), plan.begin() + long(n)));
+}
+
 TEST(EnvKnobs, UnsetYieldsFallback)
 {
     ::unsetenv("SF_TEST_KNOB");
