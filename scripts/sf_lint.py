@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-specific lint for invariants no generic tool knows.
 
-Seven rules, each encoding a correctness contract of this codebase:
+Eight rules, each encoding a correctness contract of this codebase:
 
   simd-backend-integrity   Every SIMD backend TU (src/sdtw/
                            batch_{sse2,avx2,avx512}.cpp) keeps its
@@ -37,6 +37,14 @@ Seven rules, each encoding a correctness contract of this codebase:
                            src/stream/ is out of scope for now:
                            CompletionBoard::await() has no shutdown
                            edge yet (ROADMAP, failure containment).
+
+  hw-layering              No file under src/stream/ or src/fleet/
+                           includes an hw/ header, except
+                           src/stream/decision_service.cpp, whose
+                           makeDecisionBackend() is the one place the
+                           stream layer reaches down into the
+                           modelled hardware (hw/ includes stream/,
+                           never the reverse).
 
   quantized-hot-path-purity  The quantized sDTW hot path (the lane-
                            batched kernel TUs) must stay integer-only:
@@ -308,6 +316,46 @@ def rule_pool_wait_discipline(root: Path, findings: List[Finding]):
 
 
 # ------------------------------------------------------------------ #
+# Rule: hw-layering                                                   #
+# ------------------------------------------------------------------ #
+
+HW_LAYERING_DIRS = ("src/stream", "src/fleet")
+
+# The one stream -> hw reach-down: makeDecisionBackend().
+HW_LAYERING_EXEMPT = ("src/stream/decision_service.cpp",)
+
+# Anchored at the line start, so a commented-out include never counts
+# (string literals must survive, so strip_comments is not used here).
+HW_INCLUDE = re.compile(r'^[ \t]*#[ \t]*include[ \t]*[<"]hw/', re.M)
+
+
+def rule_hw_layering(root: Path, findings: List[Finding]):
+    rule = "hw-layering"
+    for rel in HW_LAYERING_EXEMPT:
+        if not (root / rel).exists():
+            findings.append(
+                Finding(rule, rel, "exempt file is missing; point "
+                        "HW_LAYERING_EXEMPT at where "
+                        "makeDecisionBackend() moved"))
+    for sub in HW_LAYERING_DIRS:
+        for path in sorted((root / sub).rglob("*")):
+            if path.suffix not in (".hpp", ".cpp"):
+                continue
+            rel = path.relative_to(root).as_posix()
+            if rel in HW_LAYERING_EXEMPT:
+                continue
+            text = path.read_text()
+            for m in HW_INCLUDE.finditer(text):
+                findings.append(
+                    Finding(rule, f"{rel}:{line_of(text, m.start())}",
+                            "hw/ include outside "
+                            "src/stream/decision_service.cpp; the "
+                            "stream and fleet layers reach the "
+                            "modelled hardware only through "
+                            "makeDecisionBackend()"))
+
+
+# ------------------------------------------------------------------ #
 # Rule: quantized-hot-path-purity                                     #
 # ------------------------------------------------------------------ #
 
@@ -471,6 +519,7 @@ RULES = [
     rule_simd_backend_integrity,
     rule_concurrency_containment,
     rule_pool_wait_discipline,
+    rule_hw_layering,
     rule_quantized_hot_path_purity,
     rule_tiling_containment,
     rule_env_knob_docs,

@@ -176,9 +176,10 @@ FleetOrchestrator::addSession(SessionSpec spec)
         fatal("FleetOrchestrator session '%s' has no classifier",
               spec.name.c_str());
     // Built here, on the caller's thread: the session validates its
-    // config, fault plan and hot-swap targets (swap classifiers obey
-    // the same kernel-shape rule as sessions), and the driver threads
-    // of run() are no place for a fatal().
+    // config (an Asic session's kernel config and design point
+    // included), fault plan and hot-swap targets (swap classifiers
+    // obey the same kernel-shape rule as sessions), and the driver
+    // threads of run() are no place for a fatal().
     auto state = std::make_unique<SessionState>(std::move(spec));
     const SessionSpec &s = state->spec;
     if (!sessions_.empty()) {
@@ -194,23 +195,8 @@ FleetOrchestrator::addSession(SessionSpec spec)
                   s.name.c_str());
     }
     if (s.config.backend == stream::DecisionBackendKind::Asic) {
-        // Validate the modelled hardware on the caller's thread: the
-        // kernel config must be implementable (mirrors AsicBackend's
-        // own checks, which would otherwise fatal inside run()) and
-        // every Asic session must share ONE design point — the fleet
-        // models one chip, just as it shares one kernel shape.
-        const sdtw::SdtwConfig &kc = s.classifier->config();
-        if (kc.metric != sdtw::CostMetric::AbsoluteDifference ||
-            kc.allowReferenceDeletion)
-            fatal("FleetOrchestrator session '%s' requests the asic "
-                  "backend with a kernel config the hardware cannot "
-                  "implement (needs absolute-difference metric, no "
-                  "reference deletions)",
-                  s.name.c_str());
-        if (s.config.asic.arrayDim == 0 || s.config.asic.clockGhz <= 0.0)
-            fatal("FleetOrchestrator session '%s' has a degenerate "
-                  "AsicSpec (arrayDim/clockGhz must be positive)",
-                  s.name.c_str());
+        // The fleet models one chip, just as it shares one kernel
+        // shape: every Asic session must share ONE design point.
         if (hasAsic_ && s.config.asic != asicSpec_)
             fatal("FleetOrchestrator session '%s' disagrees with the "
                   "fleet on the AsicSpec design point; a fleet models "
@@ -283,10 +269,12 @@ FleetOrchestrator::run()
 
     FleetResult out;
     out.sessions.reserve(sessions_.size());
-    for (auto &state : sessions_)
+    for (std::size_t i = 0; i < sessions_.size(); ++i) {
+        SessionState &state = *sessions_[i];
+        state.result.stats.hwModel = pool_.modeledStats(std::uint32_t(i));
         out.sessions.push_back(SessionOutcome{
-            state->spec.name, state->spec.qos,
-            std::move(state->result)});
+            state.spec.name, state.spec.qos, std::move(state.result)});
+    }
     out.snapshot = snapshot();
     return out;
 }

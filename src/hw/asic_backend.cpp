@@ -1,9 +1,7 @@
 #include "hw/asic_backend.hpp"
 
-#include "common/logging.hpp"
 #include "hw/asic_model.hpp"
 #include "hw/systolic.hpp"
-#include "sdtw/batch.hpp"
 
 namespace sf::hw {
 
@@ -47,31 +45,18 @@ modelDecision(const stream::AsicSpec &spec, std::uint64_t rows_folded,
 AsicBackend::AsicBackend(const stream::AsicSpec &spec,
                          const sdtw::SdtwConfig &config,
                          std::size_t lane_capacity, bool lane_batching)
-    : spec_(spec), laneBatching_(lane_batching)
+    : spec_(spec),
+      software_(config, lane_capacity, lane_batching,
+                [this](const stream::DecisionRequest &req, double wall_us) {
+                    return chargeModel(req, wall_us);
+                })
 {
-    if (spec_.arrayDim == 0)
-        fatal("AsicBackend needs at least one PE");
-    if (spec_.clockGhz <= 0.0)
-        fatal("AsicBackend clock must be positive, got %g GHz",
-              spec_.clockGhz);
-    // Mirror the SystolicArray implementability checks: scores come
-    // from the software kernel either way, but modelling hardware for
-    // a configuration the hardware cannot execute would be a lie.
-    if (config.metric != sdtw::CostMetric::AbsoluteDifference)
-        fatal("the modelled hardware implements only the "
-              "absolute-difference metric (paper §4.7)");
-    if (config.allowReferenceDeletion)
-        fatal("the modelled hardware removed reference deletions "
-              "(paper §4.7)");
+    stream::checkAsicImplementable(spec_, config);
     // Table 4 power for a one-tile chip of this array size, scaled
     // linearly from the synthesised 2.5 GHz operating point.
     powerW_ = AsicModel(spec_.arrayDim, 1).oneTilePowerW() *
               (spec_.clockGhz / AsicModel::kClockGhz);
-    kernel_ =
-        std::make_unique<sdtw::BatchSdtw>(config, lane_capacity);
 }
-
-AsicBackend::~AsicBackend() = default;
 
 void
 AsicBackend::fold(std::vector<stream::DecisionRequest> &batch)
@@ -79,37 +64,43 @@ AsicBackend::fold(std::vector<stream::DecisionRequest> &batch)
     // Snapshot each stream's fold progress before the kernel runs so
     // the latency hook can recover the incremental DP work (and
     // whether the stream resumed a checkpoint) per decision.
+    base_ = batch.data();
     preRows_.resize(batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i)
         preRows_[i] = batch[i].stream->rowsFolded;
-
-    const stream::DecisionRequest *base = batch.data();
-    const auto latency = [this,
-                          base](const stream::DecisionRequest &req) {
-        // The hook runs after req's fold but before its board slot
-        // completes, so the worker still owns the stream exclusively.
-        const std::size_t i = std::size_t(&req - base);
-        const std::uint64_t rows = req.stream->rowsFolded - preRows_[i];
-        const AsicDecisionModel model = modelDecision(
-            spec_, rows, req.classifier->reference().size(),
-            preRows_[i] > 0, !req.stream->decided);
-        const double us =
-            double(model.cycles) / (spec_.clockGhz * 1e3);
-        stats_.decisions += 1;
-        stats_.cycles += model.cycles;
-        stats_.arrayPasses += model.passes;
-        stats_.checkpointBytes += model.checkpointBytes;
-        stats_.modeledLatencyUsTotal += us;
-        stats_.energyJoules += powerW_ * us * 1e-6;
-        return us;
-    };
-    foldDispatch(batch, *kernel_, laneBatching_, latency);
+    software_.fold(batch);
 }
 
-const sdtw::FoldStats &
-AsicBackend::foldStats() const
+double
+AsicBackend::chargeModel(const stream::DecisionRequest &req, double wall_us)
 {
-    return kernel_->foldStats();
+    if (req.backend != stream::DecisionBackendKind::Asic)
+        return wall_us;
+    // The hook runs after req's fold but before its board slot
+    // completes, so the worker still owns the stream exclusively.
+    const std::uint64_t pre = preRows_[std::size_t(&req - base_)];
+    const AsicDecisionModel model = modelDecision(
+        spec_, req.stream->rowsFolded - pre,
+        req.classifier->reference().size(), pre > 0,
+        !req.stream->decided);
+    const double us = double(model.cycles) / (spec_.clockGhz * 1e3);
+    if (req.sessionId >= stats_.size())
+        stats_.resize(std::size_t(req.sessionId) + 1);
+    stream::ModeledHwStats &stats = stats_[req.sessionId];
+    stats.decisions += 1;
+    stats.cycles += model.cycles;
+    stats.arrayPasses += model.passes;
+    stats.checkpointBytes += model.checkpointBytes;
+    stats.modeledLatencyUsTotal += us;
+    stats.energyJoules += powerW_ * us * 1e-6;
+    return us;
+}
+
+stream::ModeledHwStats
+AsicBackend::modeledStats(std::uint32_t session_id) const
+{
+    return session_id < stats_.size() ? stats_[session_id]
+                                      : stream::ModeledHwStats{};
 }
 
 } // namespace sf::hw

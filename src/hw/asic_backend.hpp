@@ -5,12 +5,14 @@
  * @file
  * Modelled-ASIC decision backend (paper §5, §7.1-§7.2).
  *
- * Implements the stream::DecisionBackend seam: decisions are folded
- * through the same quantised SIMD kernel the software backend uses —
- * scores, decisions and checkpoint states stay bit-identical — while
- * every decision's *latency* is replaced by an analytical cycle model
- * of the systolic array executing the same DP work, and a power/
- * energy/checkpoint-traffic ledger accumulates alongside.  Running a
+ * Implements the stream::DecisionBackend seam as a latency-accounting
+ * decorator over the software fold (the ASIC runs the same sDTW
+ * recurrence): scores, decisions and checkpoint states stay
+ * bit-identical, while each Asic request's *latency* is replaced by
+ * an analytical cycle model of the systolic array executing the same
+ * DP work, and a per-session power/energy/checkpoint-traffic ledger
+ * accumulates alongside.  Software requests keep their wall latency,
+ * so a mixed-backend dispatch folds once on one engine.  Running a
  * session with this backend therefore reproduces the software run's
  * decision log exactly, with the latency percentiles and energy of
  * the modelled chip — the paper's software-vs-ASIC side-by-side from
@@ -38,14 +40,9 @@
  */
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "stream/decision_service.hpp"
-
-namespace sf::sdtw {
-class BatchSdtw;
-}
 
 namespace sf::hw {
 
@@ -69,46 +66,46 @@ AsicDecisionModel modelDecision(const stream::AsicSpec &spec,
                                 std::size_t ref_samples, bool resumed,
                                 bool checkpointed);
 
-/** DecisionBackend that charges modelled-ASIC latency per decision. */
+/** DecisionBackend charging modelled-ASIC latency to Asic requests. */
 class AsicBackend final : public stream::DecisionBackend
 {
   public:
     /**
-     * Fatals when @p config is not implementable by the hardware
-     * (non-absolute-difference metric or reference deletions, §4.7)
-     * or @p spec is degenerate — construct on the main thread.
+     * Fatals when @p config is not implementable by the hardware or
+     * @p spec is degenerate (stream::checkAsicImplementable) —
+     * construct on the main thread.
      */
     AsicBackend(const stream::AsicSpec &spec,
                 const sdtw::SdtwConfig &config,
                 std::size_t lane_capacity, bool lane_batching);
-    ~AsicBackend() override;
 
-    stream::DecisionBackendKind
-    kind() const override
-    {
-        return stream::DecisionBackendKind::Asic;
-    }
+    /** The software fold's latency hook holds this object's address. */
+    AsicBackend(const AsicBackend &) = delete;
+    AsicBackend &operator=(const AsicBackend &) = delete;
+
     void fold(std::vector<stream::DecisionRequest> &batch) override;
-    const sdtw::FoldStats &foldStats() const override;
-    stream::ModeledHwStats
-    modeledStats() const override
+    const sdtw::FoldStats &
+    foldStats() const override
     {
-        return stats_;
+        return software_.foldStats();
     }
-
-    const stream::AsicSpec &spec() const { return spec_; }
-    /** Modelled tile power at the spec clock (Watts). */
-    double tilePowerW() const { return powerW_; }
+    stream::ModeledHwStats
+    modeledStats(std::uint32_t session_id) const override;
 
   private:
+    /** Latency hook: the cycle model for an Asic request (charged to
+        its session's ledger), @p wall_us for anything else. */
+    double chargeModel(const stream::DecisionRequest &req, double wall_us);
+
     stream::AsicSpec spec_;
     double powerW_ = 0.0;
-    bool laneBatching_ = true;
-    std::unique_ptr<sdtw::BatchSdtw> kernel_;
-    stream::ModeledHwStats stats_{};
-    /** Pre-fold rowsFolded per request, to recover each decision's
-        incremental DP work inside the latency hook. */
+    /** Ledger per DecisionRequest::sessionId, grown on demand. */
+    std::vector<stream::ModeledHwStats> stats_;
+    /** The batch in flight and its pre-fold rowsFolded per request,
+        to recover each decision's incremental DP work in the hook. */
+    const stream::DecisionRequest *base_ = nullptr;
     std::vector<std::uint64_t> preRows_;
+    stream::SoftwareBackend software_; //!< last: its hook uses the above
 };
 
 } // namespace sf::hw

@@ -35,19 +35,19 @@ DecisionPool::start(const sdtw::SdtwConfig &kernel, const AsicSpec &asic)
 {
     if (!workers_.empty())
         fatal("DecisionPool::start may be called once");
-    // Each worker owns one engine per kind in use: the software one
-    // wraps a lane-batch kernel sized to the dispatch pull, the
-    // modelled-ASIC one folds through the same kernel and substitutes
-    // cycle-model latency.
+    // One engine per worker whatever the backend mix: the modelled-
+    // ASIC one is a latency-accounting decorator over the software
+    // fold, so it serves Software requests at wall-clock latency too.
+    const DecisionBackendKind kind =
+        kindInUse_[std::size_t(DecisionBackendKind::Asic)]
+            ? DecisionBackendKind::Asic
+            : DecisionBackendKind::Software;
     const std::size_t lanes = std::max<std::size_t>(
         config_.dispatchBatch, sdtw::BatchSdtw::kDefaultSerialCutover);
-    backends_.resize(config_.workers);
-    for (BackendSet &set : backends_)
-        for (std::size_t b = 0; b < kDecisionBackendKinds; ++b)
-            if (kindInUse_[b])
-                set[b] = makeDecisionBackend(DecisionBackendKind(b), asic,
-                                             kernel, lanes,
-                                             config_.laneBatching);
+    backends_.reserve(config_.workers);
+    for (unsigned w = 0; w < config_.workers; ++w)
+        backends_.push_back(makeDecisionBackend(kind, asic, kernel, lanes,
+                                                config_.laneBatching));
 
     // Node-compact placement of the workers.  planPlacement is
     // prefix-stable, so a fleet pins its drivers to the tail of a
@@ -59,10 +59,10 @@ DecisionPool::start(const sdtw::SdtwConfig &kernel, const AsicSpec &asic)
     workers_.reserve(config_.workers);
     for (unsigned w = 0; w < config_.workers; ++w)
         workers_.emplace_back(
-            [this, cpu = placement[w], &set = backends_[w]] {
+            [this, cpu = placement[w], &backend = *backends_[w]] {
                 if (cpu >= 0)
                     topo::pinThreadToCpu(cpu);
-                workerMain(set);
+                workerMain(backend);
             });
 }
 
@@ -83,16 +83,13 @@ DecisionPool::shutdown()
 }
 
 void
-DecisionPool::workerMain(BackendSet &backends)
+DecisionPool::workerMain(DecisionBackend &backend)
 {
-    // Sessions of different backends may share the queue: each
-    // dispatch is partitioned by the backend its requests selected
-    // (stable, so same-classifier requests keep their queue order and
-    // still group into one lane batch) and each partition folds on
-    // that backend's engine.
-    std::array<sdtw::FoldStats, kDecisionBackendKinds> prev{};
+    // Sessions of different backends may share the queue and fold in
+    // one lane batch: the engine decides per request what latency it
+    // is charged, never what it decides.
+    sdtw::FoldStats prev{};
     std::vector<DecisionRequest> batch;
-    std::vector<DecisionRequest> part;
     QosClass served = QosClass::Research;
     const auto linger = std::chrono::microseconds(config_.dispatchLingerUs);
     const auto tick = [](PoolCounters::Counter &c, std::uint64_t n) {
@@ -102,39 +99,31 @@ DecisionPool::workerMain(BackendSet &backends)
         tick(counters_.dispatches, 1);
         tick(counters_.dispatchedRequests, batch.size());
         tick(counters_.dispatchesByClass[std::size_t(served)], 1);
-        for (std::size_t b = 0; b < kDecisionBackendKinds; ++b) {
-            part.clear();
-            for (DecisionRequest &req : batch)
-                if (std::size_t(req.backend) == b)
-                    part.push_back(std::move(req));
-            if (part.empty())
-                continue;
-            DecisionBackend *backend = backends[b].get();
-            if (backend == nullptr)
+        for (const DecisionRequest &req : batch) {
+            const std::size_t b = std::size_t(req.backend);
+            if (!kindInUse_[b])
                 panic("pool dispatch carries a request for backend '%s' "
                       "but no session registered it",
-                      decisionBackendName(DecisionBackendKind(b)));
-            backend->fold(part);
-            tick(counters_.requestsByBackend[b], part.size());
-            // Publish lane telemetry per dispatch (not at thread
-            // exit) so a mid-run snapshot sees live occupancy.
-            const sdtw::FoldStats &fs = backend->foldStats();
-            tick(counters_.laneJobs, fs.laneJobs - prev[b].laneJobs);
-            tick(counters_.laneSlots, fs.laneSlots - prev[b].laneSlots);
-            prev[b] = fs;
+                      decisionBackendName(req.backend));
+            tick(counters_.requestsByBackend[b], 1);
         }
+        backend.fold(batch);
+        // Publish lane telemetry per dispatch (not at thread exit) so
+        // a mid-run snapshot sees live occupancy.
+        const sdtw::FoldStats &fs = backend.foldStats();
+        tick(counters_.laneJobs, fs.laneJobs - prev.laneJobs);
+        tick(counters_.laneSlots, fs.laneSlots - prev.laneSlots);
+        prev = fs;
         batch.clear();
     }
 }
 
 ModeledHwStats
-DecisionPool::modeledStats() const
+DecisionPool::modeledStats(std::uint32_t session_id) const
 {
     ModeledHwStats total;
-    for (const BackendSet &set : backends_)
-        for (const auto &backend : set)
-            if (backend != nullptr)
-                total.accumulate(backend->modeledStats());
+    for (const auto &backend : backends_)
+        total.accumulate(backend->modeledStats(session_id));
     return total;
 }
 

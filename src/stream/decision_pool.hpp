@@ -12,11 +12,12 @@
  * sessions of both QoS classes on one pool.  Either way the pool owns
  * the same parts:
  *  - one QosBoundedQueue (backpressure, QoS classes, admission);
- *  - per-worker DecisionBackends, built on the caller's thread so a
+ *  - one DecisionBackend per worker (the modelled-ASIC decorator when
+ *    any Asic session registered), built on the caller's thread so a
  *    configuration the backend cannot support fatals before any
  *    worker thread exists;
  *  - node-compact worker pinning;
- *  - the popBatch -> partition by backend kind -> fold loop;
+ *  - the popBatch -> fold loop, one fold per dispatch;
  *  - the dispatch, class, backend and SIMD-lane counters, readable
  *    mid-run.
  */
@@ -90,7 +91,8 @@ struct PoolCounters
     Counter laneSlots{0};
     /** Dispatches served per QoS class (index = QosClass). */
     std::array<Counter, kQosClasses> dispatchesByClass{};
-    /** Requests folded per backend (index = DecisionBackendKind). */
+    /** Requests dispatched per the backend their session selected
+        (index = DecisionBackendKind). */
     std::array<Counter, kDecisionBackendKinds> requestsByBackend{};
 };
 
@@ -119,10 +121,10 @@ class DecisionPool final : public DecisionService
                                   DecisionBackendKind backend);
 
     /**
-     * Build each worker's engines — one per backend kind a registered
-     * session selected, all sharing the kernel shape @p kernel and the
-     * design point @p asic — on this thread, then start the workers.
-     * Fatals on a configuration a backend cannot implement.
+     * Build each worker's engine — the Asic one when any registered
+     * session selected it — for the kernel shape @p kernel and the
+     * design point @p asic on this thread, then start the workers.
+     * Fatals on a configuration the backend cannot implement.
      */
     void start(const sdtw::SdtwConfig &kernel, const AsicSpec &asic);
 
@@ -139,24 +141,21 @@ class DecisionPool final : public DecisionService
     /** The request queue (per-session depth and stalls). */
     const QosBoundedQueue<DecisionRequest> &queue() const { return queue_; }
 
-    /** Summed modelled-hardware ledger; call after shutdown(). */
-    ModeledHwStats modeledStats() const;
+    /** Modelled-hardware ledger of session @p session_id, summed
+        over the workers; call after shutdown(). */
+    ModeledHwStats modeledStats(std::uint32_t session_id) const;
 
     /** The configuration in effect (workers resolved). */
     const PoolConfig &config() const { return config_; }
 
   private:
-    /** One worker's engines, indexed by DecisionBackendKind (null for
-        a kind no session selected). */
-    using BackendSet =
-        std::array<std::unique_ptr<DecisionBackend>, kDecisionBackendKinds>;
-
-    void workerMain(BackendSet &backends);
+    void workerMain(DecisionBackend &backend);
 
     PoolConfig config_;
     QosBoundedQueue<DecisionRequest> queue_;
+    /** Backend kinds some registered session selected. */
     std::array<bool, kDecisionBackendKinds> kindInUse_{};
-    std::vector<BackendSet> backends_;
+    std::vector<std::unique_ptr<DecisionBackend>> backends_; //!< per worker
     PoolCounters counters_;
     std::vector<std::thread> workers_; //!< last: uses every member above
 };

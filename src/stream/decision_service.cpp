@@ -42,9 +42,19 @@ asicDataflowName(AsicDataflow dataflow)
     panic("unknown AsicDataflow %d", int(dataflow));
 }
 
+SoftwareBackend::SoftwareBackend(const sdtw::SdtwConfig &config,
+                                 std::size_t lane_capacity,
+                                 bool lane_batching,
+                                 DecisionLatencyFn latency)
+    : kernel_(std::make_unique<sdtw::BatchSdtw>(config, lane_capacity)),
+      laneBatching_(lane_batching), latency_(std::move(latency))
+{
+}
+
+SoftwareBackend::~SoftwareBackend() = default;
+
 void
-foldDispatch(std::vector<DecisionRequest> &batch, sdtw::BatchSdtw &kernel,
-             bool lane_batching, const DecisionLatencyFn &latency)
+SoftwareBackend::fold(std::vector<DecisionRequest> &batch)
 {
     // Exclusive-ownership invariant: a dispatch may carry at most one
     // request per (board, slot), else two lanes would alias one
@@ -58,16 +68,15 @@ foldDispatch(std::vector<DecisionRequest> &batch, sdtw::BatchSdtw &kernel,
                       "session %u slot %zu",
                       batch[i].sessionId, batch[i].slot);
 
-    if (!lane_batching) {
+    if (!laneBatching_) {
         for (DecisionRequest &req : batch) {
             const sdtw::SquiggleFilterClassifier &cls = *req.classifier;
             cls.feedChunk(*req.stream, req.samples);
             if (req.endOfRead)
                 cls.finishStream(*req.stream);
-            req.board->complete(
-                req.slot,
-                latency ? latency(req)
-                        : microsSince(req.enqueued, Clock::now()));
+            const double wall = microsSince(req.enqueued, Clock::now());
+            req.board->complete(req.slot,
+                                latency_ ? latency_(req, wall) : wall);
         }
         return;
     }
@@ -96,34 +105,39 @@ foldDispatch(std::vector<DecisionRequest> &batch, sdtw::BatchSdtw &kernel,
                                              batch[j].samples,
                                              batch[j].endOfRead});
         }
-        cls->feedChunkBatch(feeds, kernel);
+        cls->feedChunkBatch(feeds, *kernel_);
         const auto done = Clock::now();
-        for (std::size_t j : members)
+        for (std::size_t j : members) {
+            const double wall = microsSince(batch[j].enqueued, done);
             batch[j].board->complete(
-                batch[j].slot,
-                latency ? latency(batch[j])
-                        : microsSince(batch[j].enqueued, done));
+                batch[j].slot, latency_ ? latency_(batch[j], wall) : wall);
+        }
     }
-}
-
-SoftwareBackend::SoftwareBackend(const sdtw::SdtwConfig &config,
-                                 std::size_t lane_capacity,
-                                 bool lane_batching)
-    : kernel_(std::make_unique<sdtw::BatchSdtw>(config, lane_capacity)),
-      laneBatching_(lane_batching)
-{
-}
-
-void
-SoftwareBackend::fold(std::vector<DecisionRequest> &batch)
-{
-    foldDispatch(batch, *kernel_, laneBatching_);
 }
 
 const sdtw::FoldStats &
 SoftwareBackend::foldStats() const
 {
     return kernel_->foldStats();
+}
+
+void
+checkAsicImplementable(const AsicSpec &spec, const sdtw::SdtwConfig &config)
+{
+    if (spec.arrayDim == 0)
+        fatal("the modelled ASIC needs at least one PE");
+    if (spec.clockGhz <= 0.0)
+        fatal("the modelled ASIC clock must be positive, got %g GHz",
+              spec.clockGhz);
+    // Mirror the SystolicArray implementability checks: scores come
+    // from the software kernel either way, but modelling hardware for
+    // a configuration the hardware cannot execute would be a lie.
+    if (config.metric != sdtw::CostMetric::AbsoluteDifference)
+        fatal("the modelled hardware implements only the "
+              "absolute-difference metric (paper §4.7)");
+    if (config.allowReferenceDeletion)
+        fatal("the modelled hardware removed reference deletions "
+              "(paper §4.7)");
 }
 
 std::unique_ptr<DecisionBackend>

@@ -14,7 +14,7 @@
  * outrunning session is throttled at capture time and chunks are
  * never dropped — and awaits completion on its session-owned
  * CompletionBoard, while the worker side folds each dispatch's
- * requests as SIMD lane batches with foldDispatch().
+ * requests as SIMD lane batches with SoftwareBackend::fold().
  */
 
 #include <array>
@@ -124,8 +124,8 @@ struct DecisionRequest
     CompletionBoard *board = nullptr;
     std::size_t slot = 0;        //!< channel index within the board
     std::uint32_t sessionId = 0; //!< pool registration id (admission)
-    /** Engine the submitting session selected; the pool routes each
-        request to its worker's backend of this kind. */
+    /** Engine the submitting session selected; an Asic engine
+        charges modelled latency to Asic requests only. */
     DecisionBackendKind backend = DecisionBackendKind::Software;
     std::chrono::steady_clock::time_point enqueued{};
 };
@@ -186,30 +186,15 @@ class DecisionService
 };
 
 /**
- * Per-decision latency override for foldDispatch: called after a
- * request's fold finished but BEFORE its board slot completes (the
- * stream is still exclusively owned by the worker, so the hook may
- * read it), returning the latency in microseconds to record.  An
- * empty function keeps the default wall-clock measurement.  This is
- * how a modelled-hardware backend substitutes cycle-model latency for
- * wall time without touching the fold itself.
+ * Per-decision latency hook of SoftwareBackend: called with the
+ * measured wall latency after the request's fold but BEFORE its board
+ * slot completes (the worker still owns the stream exclusively, so
+ * the hook may read it), it returns the latency in microseconds to
+ * record.  This is how hw::AsicBackend substitutes cycle-model
+ * latency for wall time without touching the fold itself.
  */
-using DecisionLatencyFn = std::function<double(const DecisionRequest &)>;
-
-/**
- * Fold one dispatch's requests and complete them on their boards.
- *
- * With @p lane_batching the requests are grouped by classifier (a
- * fleet dispatch may span sessions filtering different references)
- * and each group advances as one SIMD lane batch through @p kernel;
- * otherwise every request folds serially.  Decisions are bit-identical
- * either way.  A dispatch may carry at most one request per
- * (board, slot) pair — two lanes aliasing one ClassifierStream
- * mid-fold would corrupt it, so duplicates panic.
- */
-void foldDispatch(std::vector<DecisionRequest> &batch,
-                  sdtw::BatchSdtw &kernel, bool lane_batching,
-                  const DecisionLatencyFn &latency = {});
+using DecisionLatencyFn =
+    std::function<double(const DecisionRequest &, double wall_us)>;
 
 /**
  * One worker's decision engine: folds dispatches through the shared
@@ -227,49 +212,63 @@ class DecisionBackend
   public:
     virtual ~DecisionBackend() = default;
 
-    virtual DecisionBackendKind kind() const = 0;
-
     /** Fold @p batch and complete every request on its board. */
     virtual void fold(std::vector<DecisionRequest> &batch) = 0;
 
     /** Cumulative SIMD-slot utilisation of the underlying kernel. */
     virtual const sdtw::FoldStats &foldStats() const = 0;
 
-    /** Modelled-hardware ledger; zeros for pure-software backends. */
+    /** Modelled-hardware ledger of session @p session_id's requests;
+        zeros for pure-software backends. */
     virtual ModeledHwStats
-    modeledStats() const
+    modeledStats(std::uint32_t /*session_id*/) const
     {
         return {};
     }
 };
 
 /**
- * Software path: the per-worker SIMD BatchSdtw that has always run
- * decisions, behind the backend seam.  Latency is wall time from
- * enqueue to completion.
+ * The one fold: a per-worker SIMD BatchSdtw behind the backend seam,
+ * which hw::AsicBackend decorates.  With @p lane_batching a dispatch's
+ * requests are grouped by classifier (a fleet dispatch may span
+ * sessions filtering different references) and each group advances
+ * as one SIMD lane batch; otherwise every request folds serially.
+ * Decisions are bit-identical either way.  A dispatch may carry at
+ * most one request per (board, slot) pair — two lanes aliasing one
+ * ClassifierStream mid-fold would corrupt it, so duplicates panic.
+ * Latency is wall time from enqueue to completion unless @p latency
+ * overrides it.
  */
 class SoftwareBackend final : public DecisionBackend
 {
   public:
     SoftwareBackend(const sdtw::SdtwConfig &config,
-                    std::size_t lane_capacity, bool lane_batching);
+                    std::size_t lane_capacity, bool lane_batching,
+                    DecisionLatencyFn latency = {});
+    ~SoftwareBackend() override;
 
-    DecisionBackendKind
-    kind() const override
-    {
-        return DecisionBackendKind::Software;
-    }
     void fold(std::vector<DecisionRequest> &batch) override;
     const sdtw::FoldStats &foldStats() const override;
 
   private:
     std::unique_ptr<sdtw::BatchSdtw> kernel_;
     bool laneBatching_ = true;
+    DecisionLatencyFn latency_;
 };
 
 /**
+ * Fatal unless the modelled hardware can run @p config on @p spec:
+ * the absolute-difference metric without reference deletions (paper
+ * §4.7), at least one PE and a positive clock.  Run by
+ * hw::AsicBackend and by ReadUntilSession for an Asic session.
+ */
+void checkAsicImplementable(const AsicSpec &spec,
+                            const sdtw::SdtwConfig &config);
+
+/**
  * Construct the backend @p kind configured for one worker.  @p asic
- * is consulted only for DecisionBackendKind::Asic; @p config must be
+ * is consulted only for DecisionBackendKind::Asic, whose engine folds
+ * Software requests too, at wall-clock latency.  @p config must be
  * the kernel configuration shared by every classifier the worker will
  * fold (the session/fleet uniformity checks guarantee this).  Fatals
  * on a configuration the modelled hardware cannot implement — call on

@@ -115,7 +115,7 @@ struct Channel
  * The epoch guard makes events for finished reads no-ops, and the
  * exclusive-ownership invariant of step 2 is asserted (duplicate
  * in-flight requests and double completions panic instead of
- * corrupting a fold — see foldDispatch and CompletionBoard).
+ * corrupting a fold — see SoftwareBackend::fold and CompletionBoard).
  */
 SessionResult
 runEventLoop(const sdtw::SquiggleFilterClassifier &classifier,
@@ -624,6 +624,8 @@ ReadUntilSession::ReadUntilSession(
     if (config_.queueCapacity == 0 || config_.dispatchBatch == 0)
         fatal("ReadUntilSession queue capacity and dispatch batch must "
               "be positive");
+    if (config_.backend == DecisionBackendKind::Asic)
+        checkAsicImplementable(config_.asic, classifier_.config());
     if (config_.faults != nullptr) {
         config_.faults->validate(config_.channels);
         // A hot swap re-points captures at a new reference while the
@@ -674,7 +676,7 @@ ReadUntilSession::run(std::span<const signal::ReadRecord> reads) const
         out.stats.dispatches > 0 ? double(counters.dispatchedRequests) /
                                        double(out.stats.dispatches)
                                  : 0.0;
-    out.stats.hwModel = pool.modeledStats();
+    out.stats.hwModel = pool.modeledStats(session_id);
     return out;
 }
 

@@ -192,7 +192,9 @@ class ReadUntilSession
     /**
      * @param classifier calibrated classifier whose stage schedule is
      *        the per-chunk decision cadence (see uniformStageSchedule)
-     * @param config flowcell and worker-pool parameters
+     * @param config flowcell and worker-pool parameters; fatals on an
+     *        invalid one, including an Asic backend the hardware
+     *        cannot implement (checkAsicImplementable)
      */
     ReadUntilSession(const sdtw::SquiggleFilterClassifier &classifier,
                      SessionConfig config);

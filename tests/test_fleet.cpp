@@ -1272,6 +1272,32 @@ TEST_F(FleetTest, MisconfiguredFleetsAreFatal)
         cfg.dispatchBatch = 0;
         EXPECT_THROW(FleetOrchestrator{cfg}, FatalError);
     }
+    {
+        // An Asic session whose kernel config the modelled hardware
+        // cannot implement is rejected at registration.
+        static const sdtw::SquiggleFilterClassifier vanilla(
+            pipeline::streamVirusSquiggle(), sdtw::vanillaConfig());
+        FleetOrchestrator fleet(FleetConfig{});
+        SessionSpec spec;
+        spec.name = "asic-vanilla";
+        spec.classifier = &vanilla;
+        spec.config = sessionConfig(0);
+        spec.config.backend = stream::DecisionBackendKind::Asic;
+        spec.reads = sessionReads(0).reads;
+        EXPECT_THROW(fleet.addSession(std::move(spec)), FatalError);
+    }
+    {
+        // So is a degenerate design point.
+        FleetOrchestrator fleet(FleetConfig{});
+        SessionSpec spec;
+        spec.name = "asic-no-pes";
+        spec.classifier = &classifier();
+        spec.config = sessionConfig(0);
+        spec.config.backend = stream::DecisionBackendKind::Asic;
+        spec.config.asic.arrayDim = 0;
+        spec.reads = sessionReads(0).reads;
+        EXPECT_THROW(fleet.addSession(std::move(spec)), FatalError);
+    }
 }
 
 } // namespace

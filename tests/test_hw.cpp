@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 
 #include "common/logging.hpp"
@@ -731,6 +732,15 @@ TEST_F(BackendParityTest, MixedFleetLogsMatchOracleAcrossMatrix)
                 expectLogsEqual(result.sessions[i].result, oracle(i),
                                 context + " session=" +
                                     std::to_string(i));
+            // Each session's modelled-hardware ledger covers exactly
+            // its own decisions when it selected the Asic backend.
+            for (std::size_t i = 0; i < fleet_size; ++i) {
+                const stream::SessionStats &stats =
+                    result.sessions[i].result.stats;
+                EXPECT_EQ(stats.hwModel.decisions,
+                          i % 2 == 0 ? stats.decisions : 0u)
+                    << context << " session=" << i;
+            }
             // The dispatch share splits by backend and accounts for
             // every folded request.
             const auto &by_backend =
@@ -753,6 +763,65 @@ TEST_F(BackendParityTest, MixedFleetLogsMatchOracleAcrossMatrix)
             }
         }
     }
+}
+
+TEST_F(BackendParityTest, MixedDispatchFoldsOnceModellingOnlyAsicRequests)
+{
+    // Asic and Software requests on one classifier share one lane
+    // batch on an Asic engine: one kernel call, the cycle model
+    // charged to the Asic requests only, wall time kept for the rest.
+    constexpr std::size_t kRequests = 4;
+    const auto backend = stream::makeDecisionBackend(
+        stream::DecisionBackendKind::Asic, stream::AsicSpec{},
+        classifier().config(), 16, /*lane_batching=*/true);
+    const auto &reads = sessionReads(0).reads;
+    ASSERT_GE(reads.size(), kRequests);
+    std::vector<sdtw::ClassifierStream> streams;
+    for (std::size_t i = 0; i < kRequests; ++i)
+        streams.push_back(classifier().beginStream());
+    stream::CompletionBoard asic_board(kRequests);
+    stream::CompletionBoard software_board(kRequests);
+    // Enqueued a second ago: any wall latency is >= 1e6 us, far above
+    // a modelled chunk decision.
+    const auto enqueued =
+        std::chrono::steady_clock::now() - std::chrono::seconds(1);
+    std::vector<stream::DecisionRequest> batch;
+    for (std::size_t i = 0; i < kRequests; ++i) {
+        const bool asic = i % 2 == 0;
+        const std::vector<RawSample> &raw = reads[i].raw;
+        ASSERT_GE(raw.size(), kChunk);
+        stream::DecisionRequest req;
+        req.stream = &streams[i];
+        req.classifier = &classifier();
+        req.samples.assign(raw.begin(),
+                           raw.begin() + std::ptrdiff_t(kChunk));
+        req.board = asic ? &asic_board : &software_board;
+        req.slot = i;
+        req.sessionId = asic ? 0 : 1;
+        req.backend = asic ? stream::DecisionBackendKind::Asic
+                           : stream::DecisionBackendKind::Software;
+        req.enqueued = enqueued;
+        req.board->markPending(i);
+        batch.push_back(std::move(req));
+    }
+
+    const sdtw::FoldStats before = backend->foldStats();
+    backend->fold(batch);
+    const sdtw::FoldStats &after = backend->foldStats();
+    EXPECT_EQ(after.batchedCalls + after.serialCalls,
+              before.batchedCalls + before.serialCalls + 1);
+    EXPECT_EQ(backend->modeledStats(0).decisions, kRequests / 2);
+    EXPECT_EQ(backend->modeledStats(1).decisions, 0u);
+    const std::vector<double> modelled = asic_board.takeLatencies();
+    ASSERT_EQ(modelled.size(), kRequests / 2);
+    for (double us : modelled) {
+        EXPECT_GT(us, 0.0);
+        EXPECT_LT(us, 1e3);
+    }
+    const std::vector<double> wall = software_board.takeLatencies();
+    ASSERT_EQ(wall.size(), kRequests / 2);
+    for (double us : wall)
+        EXPECT_GE(us, 1e6);
 }
 
 TEST_F(BackendParityTest, FleetRejectsAsicSpecDisagreement)

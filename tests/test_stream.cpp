@@ -400,6 +400,26 @@ TEST_F(SessionTest, InvalidConfigIsFatal)
     cfg = config();
     cfg.queueCapacity = 0;
     EXPECT_THROW(ReadUntilSession(classifier(), cfg), FatalError);
+
+    // An Asic session the modelled hardware cannot implement fatals
+    // at construction, on the caller's thread, not inside run().
+    cfg = config();
+    cfg.backend = DecisionBackendKind::Asic;
+    EXPECT_NO_THROW(ReadUntilSession(classifier(), cfg));
+    cfg.asic.arrayDim = 0;
+    EXPECT_THROW(ReadUntilSession(classifier(), cfg), FatalError);
+    cfg.asic = AsicSpec{};
+    cfg.asic.clockGhz = 0.0;
+    EXPECT_THROW(ReadUntilSession(classifier(), cfg), FatalError);
+    cfg.asic = AsicSpec{};
+    const sdtw::SquiggleFilterClassifier vanilla(
+        pipeline::streamVirusSquiggle(), sdtw::vanillaConfig());
+    EXPECT_THROW(ReadUntilSession(vanilla, cfg), FatalError);
+    sdtw::SdtwConfig refdel = sdtw::hardwareConfig();
+    refdel.allowReferenceDeletion = true;
+    const sdtw::SquiggleFilterClassifier with_refdel(
+        pipeline::streamVirusSquiggle(), refdel);
+    EXPECT_THROW(ReadUntilSession(with_refdel, cfg), FatalError);
 }
 
 } // namespace
