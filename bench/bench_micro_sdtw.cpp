@@ -246,6 +246,59 @@ BM_BatchSdtwBackend(benchmark::State &state, sdtw::SimdBackend backend,
         double(kernel.planTileCols(ref_len, lanes_n)));
 }
 
+/**
+ * Lane-batched kernel on resumed states: B reads already eight
+ * 1600-sample chunks deep each fold one more chunk, as a Read Until
+ * session does mid-read.  Unlike BM_BatchSdtw's fresh lanes this
+ * measures the no-saturation bound scan over every resumed row and
+ * folds rows whose costs have grown large.  Registered for the best
+ * backend as BM_BatchSdtwResumed<...>, a name the bench gate's
+ * BM_BatchSdtw<simd> regex does not match.
+ */
+void
+BM_BatchSdtwResumedBackend(benchmark::State &state,
+                           sdtw::SimdBackend backend)
+{
+    const auto lanes_n = std::size_t(state.range(0));
+    const auto ref_len = std::size_t(state.range(1));
+    constexpr std::size_t kChunk = 1600;
+    constexpr std::size_t kDepth = 8;
+
+    std::vector<std::vector<NormSample>> queries(lanes_n);
+    for (std::size_t i = 0; i < lanes_n; ++i)
+        queries[i] = randomQuant((kDepth + 1) * kChunk, 200 + i);
+    const auto ref = randomQuant(ref_len, 2);
+
+    sdtw::BatchSdtw kernel(sdtw::hardwareConfig(), lanes_n, backend);
+    kernel.setSerialCutover(0); // measure the batched path only
+    std::vector<sdtw::QuantSdtw::State> deep(lanes_n);
+    std::vector<sdtw::BatchLane> lanes(lanes_n);
+    for (std::size_t i = 0; i < lanes_n; ++i) {
+        lanes[i].state = &deep[i];
+        lanes[i].query =
+            std::span<const NormSample>(queries[i]).first(kDepth * kChunk);
+    }
+    kernel.processMany(lanes, ref);
+
+    std::vector<sdtw::QuantSdtw::State> states(lanes_n);
+    for (auto _ : state) {
+        state.PauseTiming();
+        states = deep;
+        for (std::size_t i = 0; i < lanes_n; ++i) {
+            lanes[i].state = &states[i];
+            lanes[i].query =
+                std::span<const NormSample>(queries[i]).last(kChunk);
+        }
+        state.ResumeTiming();
+        kernel.processMany(lanes, ref);
+        benchmark::DoNotOptimize(lanes[0].result.cost);
+    }
+    setThroughputCounters(state, double(lanes_n) * double(kChunk),
+                          double(ref_len));
+    state.counters["lane_width"] =
+        benchmark::Counter(double(kernel.laneWidth()));
+}
+
 void
 BM_SystolicArraySim(benchmark::State &state)
 {
@@ -299,6 +352,13 @@ main(int argc, char **argv)
                                          /*untiled=*/true)
                 ->Args({16, 48000})
                 ->Args({16, 97000});
+            const std::string resumed =
+                std::string("BM_BatchSdtwResumed<") +
+                sdtw::simdBackendName(backend) + ">";
+            benchmark::RegisterBenchmark(resumed.c_str(),
+                                         BM_BatchSdtwResumedBackend,
+                                         backend)
+                ->Args({16, 59796});
         }
     }
     benchmark::Initialize(&argc, argv);

@@ -44,17 +44,17 @@ struct ScalarOps
         return Vec(s < 0 ? -s : s);
     }
     static Vec shlI32(Vec v, int count) { return v << count; }
+    static Vec shrI32(Vec v, int count) { return v >> count; }
     static Vec minI32(Vec a, Vec b)
     {
         return std::int32_t(a) < std::int32_t(b) ? a : b;
     }
     static Vec minU32(Vec a, Vec b) { return a < b ? a : b; }
     static Vec maxU32(Vec a, Vec b) { return a > b ? a : b; }
-    static Mask leU32(Vec a, Vec b) { return a <= b; }
     static Mask ltU32(Vec a, Vec b) { return a < b; }
     static Mask gtU32(Vec a, Vec b) { return a > b; }
     static Vec select(Mask m, Vec t, Vec f) { return m ? t : f; }
-    /** kgt ? min(dw + 1, cap) : 1 (the post-fold dwell update). */
+    /** kgt ? min(dw + one, cap) : one (the post-fold dwell update). */
     static Vec dwellBump(Vec dw, Vec one, Vec capv, Vec, Mask kgt)
     {
         return select(kgt, minI32(addI32(dw, one), capv), one);
@@ -270,36 +270,58 @@ BatchSdtw::planTileCols(std::size_t reference_len,
     return std::min(std::max<std::size_t>(tile, 1), reference_len);
 }
 
-void
+bool
 BatchSdtw::validate(std::span<BatchLane> lanes,
                     std::span<const NormSample> reference) const
 {
     if (reference.empty())
         fatal("sDTW reference must be non-empty");
+    // Widest cell cost: an int8 difference is at most 255.
+    const Cost cell_max =
+        config().metric == CostMetric::SquaredDifference ? 255 * 255 : 255;
+    bool fits = true;
     for (const BatchLane &lane : lanes) {
-        if (lane.state == nullptr)
+        const QuantSdtw::State *state = lane.state;
+        if (state == nullptr)
             fatal("BatchSdtw lane needs a checkpoint state");
-        if (!lane.state->empty() &&
-            lane.state->row.size() != reference.size()) {
+        if (!state->empty() && state->row.size() != reference.size()) {
             fatal("sDTW state row length %zu does not match reference "
                   "%zu",
-                  lane.state->row.size(), reference.size());
+                  state->row.size(), reference.size());
         }
-        if (lane.state->empty() && lane.query.empty())
+        if (!state->empty() && state->dwell.size() != state->row.size()) {
+            fatal("sDTW state dwell length %zu does not match row %zu",
+                  state->dwell.size(), state->row.size());
+        }
+        if (state->empty() && lane.query.empty())
             fatal("sDTW requires at least one query sample");
+        // No-saturation bound (batch_kernel.hpp): a row's maximum
+        // grows by at most cell_max per folded sample.  A fresh lane
+        // starts from zero, its first sample seeding the free-start
+        // row.
+        if (fits) {
+            Cost start = 0;
+            if (!state->empty())
+                for (const Cost c : state->row)
+                    start = std::max(start, c);
+            fits = lane.query.size() <= (kCostMax - start) / cell_max;
+        }
     }
+    return fits;
 }
 
 void
 BatchSdtw::processMany(std::span<BatchLane> lanes,
                        std::span<const NormSample> reference)
 {
-    validate(lanes, reference);
-    if (lanes.size() < std::max<std::size_t>(serialCutover_, 1)) {
+    const bool fits = validate(lanes, reference);
+    if (!fits || lanes.size() < std::max<std::size_t>(serialCutover_, 1)) {
         // Tiny batches: the serial engine (vectorised along the
         // reference) wastes no lanes.  Results are identical.  For
         // the occupancy accounting a serial fold of b jobs on a
-        // W-lane machine uses 1/W of the width it could have.
+        // W-lane machine uses 1/W of the width it could have.  A
+        // call with a lane that could saturate folds here too: the
+        // serial engine's adds saturate, the batched kernel's wrap.
         foldStats_.serialCalls += 1;
         foldStats_.laneJobs += lanes.size();
         foldStats_.laneSlots += lanes.size() * width_;
@@ -452,7 +474,10 @@ BatchSdtw::runBatched(std::span<BatchLane> lanes,
         std::vector<Sweep> sweeps;
         sweeps.reserve(block / 4 + 2);
         for (std::size_t r = 0; r < block;) {
-            if (block - r >= 4 && fold_.fold4 != nullptr) {
+            if (block - r >= 8 && fold_.fold8 != nullptr) {
+                sweeps.push_back({r, fold_.fold8});
+                r += 8;
+            } else if (block - r >= 4 && fold_.fold4 != nullptr) {
                 sweeps.push_back({r, fold_.fold4});
                 r += 4;
             } else if (block - r >= 2 && fold_.fold2 != nullptr) {

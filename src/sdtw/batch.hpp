@@ -29,6 +29,13 @@
  * All backends are bit-identical to the serial QuantSdtw engine for
  * every configuration (tests/test_batch.cpp pins this).
  *
+ * The batched fold adds costs without saturating.  That is exact only
+ * while no cost can pass kCostMax, so each call first bounds every
+ * lane (resumed row maximum + query length x widest cell cost, see
+ * batch_kernel.hpp); a call with any unprovable lane folds serially
+ * through QuantSdtw, whose saturating adds stay the oracle.  Real
+ * reads sit orders of magnitude below the ceiling.
+ *
  * Column tiling keeps genome-scale references cache-resident: a
  * 16-lane batch against a ~97k-column reference owns ~8 MB of
  * interleaved state, so an untiled strip sweep streams it from DRAM
@@ -164,7 +171,9 @@ class BatchSdtw
      * QuantSdtw::process(lane.query, reference, *lane.state) per lane
      * — same costs, same refEnd, same checkpointed row/dwell, bit for
      * bit — but up to laneCapacity() lanes advance per row fold, and
-     * retired lanes are refilled from the remaining ones.
+     * retired lanes are refilled from the remaining ones.  Calls
+     * below the serial cutover, or with a lane whose costs could
+     * saturate, run the serial engine instead.
      */
     void processMany(std::span<BatchLane> lanes,
                      std::span<const NormSample> reference);
@@ -204,7 +213,9 @@ class BatchSdtw
     const FoldStats &foldStats() const { return foldStats_; }
 
   private:
-    void validate(std::span<BatchLane> lanes,
+    /** Fatal on a malformed lane; false when some lane's cost bound
+        exceeds kCostMax, so the call must fold serially. */
+    bool validate(std::span<BatchLane> lanes,
                   std::span<const NormSample> reference) const;
     void runBatched(std::span<BatchLane> lanes,
                     std::span<const NormSample> reference);

@@ -71,10 +71,6 @@ struct Avx2Ops
                                   _mm256_xor_si256(b, bias));
     }
     static Mask ltU32(Vec a, Vec b) { return gtU32(b, a); }
-    static Mask leU32(Vec a, Vec b)
-    {
-        return _mm256_cmpeq_epi32(_mm256_min_epu32(a, b), a);
-    }
     static Vec select(Mask m, Vec t, Vec f)
     {
         return _mm256_blendv_epi8(f, t, m);
@@ -86,7 +82,11 @@ struct Avx2Ops
     {
         return _mm256_sll_epi32(v, _mm_cvtsi32_si128(count));
     }
-    /** kgt ? min(dw + 1, cap) : 1 (the post-fold dwell update). */
+    static Vec shrI32(Vec v, int count)
+    {
+        return _mm256_srl_epi32(v, _mm_cvtsi32_si128(count));
+    }
+    /** kgt ? min(dw + one, cap) : one (the post-fold dwell update). */
     static Vec dwellBump(Vec dw, Vec one, Vec capv, Vec, Mask kgt)
     {
         return select(kgt, _mm256_min_epi32(addI32(dw, one), capv),

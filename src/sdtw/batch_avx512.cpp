@@ -2,8 +2,10 @@
  * @file
  * AVX-512 backend of the lane-batched sDTW kernel: 16 reads per
  * vector op, with mask registers making every select a single
- * masked-blend.  Compiled with -mavx512f/bw/vl (see CMakeLists.txt)
- * and executed only after runtime CPU dispatch confirms support.
+ * masked-blend, and 32 vector registers carrying 8-row strips (the
+ * 16-register backends stop at 4).  Compiled with -mavx512f/bw/vl
+ * (see CMakeLists.txt) and executed only after runtime CPU dispatch
+ * confirms support.
  * Tile-edge carry state (batch_kernel.hpp) moves through the same
  * unaligned loadU32/storeU32 helpers as the DP rows, so the column-
  * tiled walk costs no extra Ops surface.
@@ -20,7 +22,10 @@ namespace {
 
 struct Avx512Ops
 {
-    static constexpr int kMaxStrip = 4;
+    // 32 zmm registers hold an 8-row strip's query, inPrev and dwPrev
+    // vectors plus the per-column temporaries: the no-reference-
+    // deletion inner loops run without spills.
+    static constexpr int kMaxStrip = 8;
     static constexpr std::size_t W = 16;
     using Vec = __m512i;
     using Mask = __mmask16;
@@ -49,10 +54,6 @@ struct Avx512Ops
     static Vec subI32(Vec a, Vec b) { return _mm512_sub_epi32(a, b); }
     static Vec mulI32(Vec a, Vec b) { return _mm512_mullo_epi32(a, b); }
     static Vec absI32(Vec v) { return _mm512_abs_epi32(v); }
-    static Mask leU32(Vec a, Vec b)
-    {
-        return _mm512_cmple_epu32_mask(a, b);
-    }
     static Mask ltU32(Vec a, Vec b)
     {
         return _mm512_cmplt_epu32_mask(a, b);
@@ -72,14 +73,19 @@ struct Avx512Ops
     {
         return _mm512_sll_epi32(v, _mm_cvtsi32_si128(count));
     }
+    static Vec shrI32(Vec v, int count)
+    {
+        return _mm512_srl_epi32(v, _mm_cvtsi32_si128(count));
+    }
     /**
-     * kgt ? min(dw + 1, cap) : 1, fused into one masked add:
-     * min(dw + 1, cap) == min(dw, cap - 1) + 1 for pre-capped dwell.
+     * kgt ? min(dw + one, cap) : one as a zero-masked min plus one add
+     * (no merge copy): min(dw + one, cap) == min(dw, cap - one) + one
+     * for pre-capped dwell, and the masked-off lanes are 0 + one.
      */
     static Vec dwellBump(Vec dw, Vec one, Vec, Vec capm1, Mask kgt)
     {
-        return _mm512_mask_add_epi32(one, kgt,
-                                     _mm512_min_epi32(dw, capm1), one);
+        return _mm512_add_epi32(_mm512_maskz_min_epi32(kgt, dw, capm1),
+                                one);
     }
 };
 

@@ -21,14 +21,27 @@
  * for every configuration (enforced by tests/test_batch.cpp).
  *
  * An `Ops` struct provides, over vectors of W unsigned 32-bit lanes:
- *   W, Vec, Mask,
+ *   W, Vec, Mask, kMaxStrip (deepest strip: 8 where 32 vector
+ *   registers hold the strip state, 4 on 16-register ISAs),
  *   broadcast(i32), loadI32, loadU32/storeU32, loadDwell/storeDwell
  *   (u8 memory <-> u32 lanes), addI32, subI32, mulI32 (low 32 bits),
- *   shlI32 (runtime count), absI32, minI32, minU32, maxU32,
- *   leU32/ltU32/gtU32 (unsigned compares producing a Mask),
+ *   shlI32/shrI32 (runtime count), absI32, minI32, minU32, maxU32,
+ *   ltU32/gtU32 (unsigned compares producing a Mask),
  *   select(mask, if_true, if_false), and dwellBump (the fused
- *   `kgt ? min(dw + 1, cap) : 1` update — AVX-512 folds it into one
- *   masked add).
+ *   `kgt ? min(dw + one, cap) : one` update — AVX-512 folds it into a
+ *   zero-masked min plus one add).
+ *
+ * The batched fold never saturates, so its cost add is a plain
+ * addI32.  Proof: every cell is `best + cell` with best <= the
+ * vertical predecessor S[i-1][j] (the first column has only that
+ * predecessor), and the bonus only subtracts, so a row's maximum grows
+ * by at most the largest cell cost per folded row — 255 for
+ * AbsoluteDifference and 255^2 for SquaredDifference, the widest int8
+ * difference.  BatchSdtw::validate() bounds every lane by its resumed
+ * row maximum plus query length times that cost, and routes the whole
+ * call to the serial engine (whose adds saturate) when any bound
+ * exceeds kCostMax.  Below the bound the serial engine never
+ * saturates either, so the plain add is bit-exact against it.
  */
 
 #include <cstdint>
@@ -47,7 +60,7 @@ namespace sf::sdtw::detail {
 
 /** Strip rows a carry slab reserves per plane (the deepest strip any
  * backend offers; shallower sweeps simply leave the tail unused). */
-inline constexpr std::size_t kCarryStrip = 4;
+inline constexpr std::size_t kCarryStrip = 8;
 /** Register planes one sweep carries across a tile edge: inPrev,
  * dwPrev, and (reference-deletion configs only) outPrev. */
 inline constexpr std::size_t kCarryPlanes = 3;
@@ -110,6 +123,7 @@ struct FoldRowFns
     FoldRowFn fold1 = nullptr; //!< 1 row per sweep
     FoldRowFn fold2 = nullptr; //!< 2 rows per sweep
     FoldRowFn fold4 = nullptr; //!< 4 rows per sweep
+    FoldRowFn fold8 = nullptr; //!< 8 rows per sweep
 };
 
 /** Pointwise cost with the metric resolved at compile time. */
@@ -124,15 +138,6 @@ cellCostV(typename Ops::Vec q, typename Ops::Vec r)
         return ad;
 }
 
-/** Saturating unsigned add: sum, or all-ones when it wrapped. */
-template <class Ops>
-inline typename Ops::Vec
-satAddV(typename Ops::Vec a, typename Ops::Vec b)
-{
-    const auto sum = Ops::addI32(a, b);
-    return Ops::select(Ops::ltU32(sum, a), Ops::broadcast(-1), sum);
-}
-
 /** Saturating unsigned subtract clamping at zero. */
 template <class Ops>
 inline typename Ops::Vec
@@ -145,8 +150,16 @@ satSubV(typename Ops::Vec a, typename Ops::Vec b)
 enum class BonusMode {
     Off,   //!< matchBonus == 0: no reward term at all
     Mul,   //!< reward = bonus_unit * dwell (general case)
-    Shift, //!< bonus_unit is a power of two: reward = dwell << log2
+    Shift, //!< bonus_unit = 2^s: dwell is carried as reward, dwell << s
 };
+
+/**
+ * Largest shift BonusMode::Shift pre-scales by.  The signed minI32 of
+ * the dwell update sees `dwell + 1` for any dwell a state can hold (a
+ * uint8_t, up to 255), which stays exact only while `256 << shift`
+ * fits an int32.  Larger power-of-two bonuses take BonusMode::Mul.
+ */
+inline constexpr int kMaxPrescaleShift = 22;
 
 /**
  * One batched strip update: fold rows i .. i+N-1 of every lane in a
@@ -161,6 +174,13 @@ enum class BonusMode {
  * last row of the strip touches memory on the way out, so the
  * per-column load/store/pack/broadcast overhead is amortised over N
  * folded rows and the sweep stays vector-ALU-bound.
+ *
+ * In BonusMode::Shift the dwell lives pre-scaled in registers and the
+ * carry slab — `dwell << s` for bonus_unit = 2^s, which is the reward
+ * itself — so the per-cell shift becomes one shift per column on the
+ * load and one on the store.  `one`, `cap` and `cap - 1` are scaled
+ * alike; min and add commute with the shift while `256 << s` fits an
+ * int32 (kMaxPrescaleShift), so stored dwell counts are unchanged.
  *
  * When the driver tiles the reference, the same horizontal register
  * state is saved to / restored from @p carry at tile edges (see
@@ -179,15 +199,27 @@ foldRowBatch(const std::int32_t *SF_BATCH_RESTRICT q,
 {
     using Vec = typename Ops::Vec;
     constexpr bool UseBonus = Bonus != BonusMode::Off;
-    const Vec capv = Ops::broadcast(std::int32_t(cap));
-    const Vec capm1v = Ops::broadcast(std::int32_t(cap) - 1);
-    const Vec onev = Ops::broadcast(1);
-    const Vec bonusv = Ops::broadcast(std::int32_t(bonus_unit));
-    [[maybe_unused]] int bonus_shift = 0;
-    if constexpr (Bonus == BonusMode::Shift) {
-        while ((Cost(1) << bonus_shift) < bonus_unit)
-            ++bonus_shift;
+    constexpr bool Prescaled = Bonus == BonusMode::Shift;
+    int shift = 0;
+    if constexpr (Prescaled) {
+        while ((Cost(1) << shift) < bonus_unit)
+            ++shift;
     }
+    const Vec capv = Ops::broadcast(std::int32_t(cap) << shift);
+    const Vec capm1v = Ops::broadcast((std::int32_t(cap) - 1) << shift);
+    const Vec onev = Ops::broadcast(std::int32_t(1) << shift);
+    const Vec bonusv = Ops::broadcast(std::int32_t(bonus_unit));
+    const auto loadDw = [&](const std::uint8_t *p) {
+        if constexpr (Prescaled)
+            return Ops::shlI32(Ops::loadDwell(p), shift);
+        else
+            return Ops::loadDwell(p);
+    };
+    const auto storeDw = [&](std::uint8_t *p, Vec v) {
+        if constexpr (Prescaled)
+            v = Ops::shrI32(v, shift);
+        Ops::storeDwell(p, v);
+    };
 
     for (std::size_t g = 0; g < groups; ++g) {
         const std::size_t base = g * Ops::W;
@@ -212,12 +244,12 @@ foldRowBatch(const std::int32_t *SF_BATCH_RESTRICT q,
             // predecessor exists.
             const Vec refv = Ops::broadcast(std::int32_t(ref[0]));
             Vec in = Ops::loadU32(r);
-            Vec dw = Ops::loadDwell(d);
+            Vec dw = loadDw(d);
             for (int t = 0; t < N; ++t) {
                 const auto ts = std::size_t(t);
                 inPrev[ts] = in;
                 dwPrev[ts] = dw;
-                const Vec out = satAddV<Ops>(
+                const Vec out = Ops::addI32(
                     in, cellCostV<Ops, Squared>(qv[ts], refv));
                 const Vec ndw =
                     Ops::minI32(Ops::addI32(dw, onev), capv);
@@ -227,7 +259,7 @@ foldRowBatch(const std::int32_t *SF_BATCH_RESTRICT q,
                 dw = ndw;
             }
             Ops::storeU32(r, in);
-            Ops::storeDwell(d, dw);
+            storeDw(d, dw);
         } else {
             // Later tile: resume this sweep's horizontal state from
             // the carry slab the previous tile parked it in; the
@@ -250,18 +282,16 @@ foldRowBatch(const std::int32_t *SF_BATCH_RESTRICT q,
             std::uint8_t *SF_BATCH_RESTRICT dj = d + j * stride;
             const Vec refv = Ops::broadcast(std::int32_t(ref[j]));
             Vec in = Ops::loadU32(rj);
-            Vec dw = Ops::loadDwell(dj);
+            Vec dw = loadDw(dj);
             for (int t = 0; t < N; ++t) {
                 const auto ts = std::size_t(t);
                 Vec diag = inPrev[ts];
                 if constexpr (UseBonus) {
-                    Vec dwb = dwPrev[ts];
+                    Vec reward = dwPrev[ts];
                     if constexpr (RefDel) // serial path re-caps here
-                        dwb = Ops::minI32(dwb, capv);
-                    const Vec reward =
-                        Bonus == BonusMode::Shift
-                            ? Ops::shlI32(dwb, bonus_shift)
-                            : Ops::mulI32(bonusv, dwb);
+                        reward = Ops::minI32(reward, capv);
+                    if constexpr (!Prescaled)
+                        reward = Ops::mulI32(bonusv, reward);
                     diag = satSubV<Ops>(diag, reward);
                 }
                 // kgt = !take_diag; dwellBump computes the serial
@@ -275,7 +305,8 @@ foldRowBatch(const std::int32_t *SF_BATCH_RESTRICT q,
                     best = Ops::minU32(best, outPrev[ts]);
                     ndw = Ops::select(lt, onev, ndw);
                 }
-                const Vec out = satAddV<Ops>(
+                // Plain add: validate() proved no lane can saturate.
+                const Vec out = Ops::addI32(
                     best, cellCostV<Ops, Squared>(qv[ts], refv));
                 inPrev[ts] = in;
                 dwPrev[ts] = dw;
@@ -285,7 +316,7 @@ foldRowBatch(const std::int32_t *SF_BATCH_RESTRICT q,
                 dw = ndw;
             }
             Ops::storeU32(rj, in);
-            Ops::storeDwell(dj, dw);
+            storeDw(dj, dw);
         }
 
         if (cb != nullptr) {
@@ -312,11 +343,12 @@ resolveFoldRow(const SdtwConfig &config, bool use_bonus)
     const bool sq = config.metric == CostMetric::SquaredDifference;
     const bool rd = config.allowReferenceDeletion;
     const auto bonus_unit = static_cast<Cost>(config.matchBonus + 0.5);
-    const bool pow2 = use_bonus && bonus_unit != 0 &&
-                      (bonus_unit & (bonus_unit - 1)) == 0;
+    const bool shiftable = use_bonus && bonus_unit != 0 &&
+                           (bonus_unit & (bonus_unit - 1)) == 0 &&
+                           bonus_unit <= (Cost(1) << kMaxPrescaleShift);
     const BonusMode mode = !use_bonus ? BonusMode::Off
-                           : pow2     ? BonusMode::Shift
-                                      : BonusMode::Mul;
+                           : shiftable ? BonusMode::Shift
+                                       : BonusMode::Mul;
 
     const auto pick = [](auto squared, auto refdel, auto bonus) {
         constexpr bool S = decltype(squared)::value;
@@ -331,6 +363,8 @@ resolveFoldRow(const SdtwConfig &config, bool use_bonus)
             fns.fold2 = &foldRowBatch<Ops, S, R, B, 2>;
         if constexpr (Ops::kMaxStrip >= 4)
             fns.fold4 = &foldRowBatch<Ops, S, R, B, 4>;
+        if constexpr (Ops::kMaxStrip >= 8)
+            fns.fold8 = &foldRowBatch<Ops, S, R, B, 8>;
         return fns;
     };
     const auto with_bonus = [&](auto squared, auto refdel) {

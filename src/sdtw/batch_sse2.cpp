@@ -82,10 +82,6 @@ struct Sse2Ops
                                _mm_xor_si128(b, bias));
     }
     static Mask ltU32(Vec a, Vec b) { return gtU32(b, a); }
-    static Mask leU32(Vec a, Vec b)
-    {
-        return _mm_xor_si128(gtU32(a, b), _mm_set1_epi32(-1));
-    }
     static Vec select(Mask m, Vec t, Vec f)
     {
         return _mm_or_si128(_mm_and_si128(m, t),
@@ -101,7 +97,11 @@ struct Sse2Ops
     {
         return _mm_sll_epi32(v, _mm_cvtsi32_si128(count));
     }
-    /** kgt ? min(dw + 1, cap) : 1 (the post-fold dwell update). */
+    static Vec shrI32(Vec v, int count)
+    {
+        return _mm_srl_epi32(v, _mm_cvtsi32_si128(count));
+    }
+    /** kgt ? min(dw + one, cap) : one (the post-fold dwell update). */
     static Vec dwellBump(Vec dw, Vec one, Vec capv, Vec, Mask kgt)
     {
         return select(kgt, minI32(addI32(dw, one), capv), one);

@@ -234,6 +234,10 @@ SdtwEngine<Sample, CostT>::process(std::span<const Sample> query_chunk,
         fatal("sDTW state row length %zu does not match reference %zu",
               state.row.size(), m);
     }
+    if (!state.empty() && state.dwell.size() != m) {
+        fatal("sDTW state dwell length %zu does not match row %zu",
+              state.dwell.size(), m);
+    }
     if (state.empty() && query_chunk.empty())
         fatal("sDTW requires at least one query sample");
 

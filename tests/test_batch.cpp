@@ -428,6 +428,264 @@ TEST(BatchSdtwTest, InvalidLanesAreFatal)
         std::vector<BatchLane> lanes{{nullptr, q, {}}};
         EXPECT_THROW(kernel.processMany(lanes, ref), FatalError);
     }
+    { // resumed state whose dwell is shorter than its row
+        QuantSdtw::State state;
+        QuantSdtw(hardwareConfig()).process(q, ref, state);
+        state.dwell.resize(ref.size() - 1);
+        std::vector<BatchLane> lanes{{&state, q, {}}};
+        EXPECT_THROW(kernel.processMany(lanes, ref), FatalError);
+    }
+}
+
+// ---------------------------------------------------------------- //
+//          saturation ceiling: unprovable calls fold serially       //
+// ---------------------------------------------------------------- //
+
+TEST(BatchSdtwTest, CeilingRoutesUnprovableCallsSerially)
+{
+    // The batched kernel adds without saturating, so validate() must
+    // send any call with a lane whose cost bound (resumed row max +
+    // query length x widest cell) passes kCostMax to the saturating
+    // serial engine.  Lane 0's row max sits at the ceiling less the
+    // query's worth of widest cells (plus `over`), in column 0, where
+    // a 127-vs-(-128) sample pair costs the widest cell every row and
+    // only the vertical predecessor exists: at the bound the column
+    // lands exactly on kCostMax, one past it the serial engine clamps
+    // there (a plain add would wrap to 0).
+    Rng rng(0xce11ULL);
+    constexpr std::size_t kLanes = 5;
+    constexpr std::size_t kQuery = 20;
+    constexpr std::size_t kCols = 64;
+    auto ref = randomQuantSignal(kCols, rng);
+    ref[0] = NormSample(-128);
+
+    for (const CostMetric metric :
+         {CostMetric::AbsoluteDifference, CostMetric::SquaredDifference}) {
+        SdtwConfig config = hardwareConfig();
+        config.metric = metric;
+        const Cost cell_max =
+            metric == CostMetric::SquaredDifference ? 255 * 255 : 255;
+        const Cost top = kCostMax - Cost(kQuery) * cell_max;
+
+        for (const Cost over : {Cost(0), Cost(1)}) {
+            std::vector<QuantSdtw::State> states(kLanes);
+            std::vector<std::vector<NormSample>> queries(kLanes);
+            for (std::size_t i = 0; i < kLanes; ++i) {
+                QuantSdtw::State &s = states[i];
+                s.rowsDone = 1000;
+                s.row.resize(kCols);
+                s.dwell.resize(kCols);
+                for (std::size_t j = 0; j < kCols; ++j) {
+                    s.row[j] = top - Cost(rng.uniformInt(0, 1 << 20));
+                    s.dwell[j] = std::uint8_t(
+                        rng.uniformInt(1, config.dwellCap));
+                }
+                queries[i] = randomQuantSignal(kQuery, rng);
+            }
+            states[0].row[0] = top + over;
+            std::fill(queries[0].begin(), queries[0].end(),
+                      NormSample(127));
+
+            for (SimdBackend backend : availableBackends()) {
+                std::vector<QuantSdtw::State> batch_states = states;
+                std::vector<BatchLane> lanes(kLanes);
+                for (std::size_t i = 0; i < kLanes; ++i) {
+                    lanes[i].state = &batch_states[i];
+                    lanes[i].query = queries[i];
+                }
+                BatchSdtw kernel(config, 16, backend);
+                kernel.setSerialCutover(0);
+                kernel.processMany(lanes, ref);
+                const FoldStats &fs = kernel.foldStats();
+                EXPECT_EQ(fs.serialCalls, over == 0 ? 0u : 1u)
+                    << simdBackendName(backend);
+                EXPECT_EQ(fs.batchedCalls, over == 0 ? 1u : 0u)
+                    << simdBackendName(backend);
+                EXPECT_EQ(batch_states[0].row[0], kCostMax)
+                    << simdBackendName(backend) << " over " << over;
+                expectMatchesSerial(config, lanes, ref, states,
+                                    simdBackendName(backend));
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------- //
+//       differential property test against a plain O(nm) DP         //
+// ---------------------------------------------------------------- //
+
+/**
+ * The sDTW recurrence written out plainly, one query sample at a
+ * time: the independent oracle for the property test below.  Costs
+ * saturate at kCostMax and the bonus-reduced diagonal clamps at 0;
+ * the diagonal wins ties, and a reference deletion (left neighbour)
+ * only a strict improvement.
+ */
+struct PlainSdtw
+{
+    SdtwConfig config;
+    std::vector<Cost> row;
+    std::vector<std::uint8_t> dwell;
+
+    static Cost
+    sat(std::uint64_t v)
+    {
+        return v > kCostMax ? kCostMax : Cost(v);
+    }
+
+    Cost
+    cell(NormSample q, NormSample r) const
+    {
+        const std::uint64_t d = std::uint64_t(std::abs(int(q) - int(r)));
+        return Cost(config.metric == CostMetric::SquaredDifference ? d * d
+                                                                   : d);
+    }
+
+    void
+    fold(NormSample q, std::span<const NormSample> ref)
+    {
+        const std::size_t m = ref.size();
+        const auto cap = std::uint8_t(config.dwellCap);
+        if (row.empty()) {
+            for (std::size_t j = 0; j < m; ++j) {
+                row.push_back(cell(q, ref[j]));
+                dwell.push_back(1);
+            }
+            return;
+        }
+        const auto bonus = Cost(std::llround(config.matchBonus));
+        std::vector<Cost> next(m);
+        std::vector<std::uint8_t> next_dwell(m);
+        for (std::size_t j = 0; j < m; ++j) {
+            const auto bumped = std::uint8_t(std::min(dwell[j] + 1, +cap));
+            Cost best = row[j];
+            std::uint8_t dw = bumped;
+            if (j > 0) {
+                const Cost reward = bonus * std::min(dwell[j - 1], cap);
+                const Cost diag =
+                    row[j - 1] > reward ? row[j - 1] - reward : 0;
+                if (diag <= best) {
+                    best = diag;
+                    dw = 1;
+                }
+                if (config.allowReferenceDeletion && next[j - 1] < best) {
+                    best = next[j - 1];
+                    dw = 1;
+                }
+            }
+            next[j] = sat(std::uint64_t(best) + cell(q, ref[j]));
+            next_dwell[j] = dw;
+        }
+        row.swap(next);
+        dwell.swap(next_dwell);
+    }
+};
+
+TEST(BatchSdtwTest, DifferentialAgainstPlainDpRandomConfigs)
+{
+    // Seeded draws over metric x ref-del x bonus x dwell cap x lane
+    // count x tile width x chunk split: the serial engine and every
+    // available backend, forced onto the batched path, against the
+    // plain DP.  The bonus set covers off, the
+    // shift reward (1, 2, 2^22 — the deepest pre-scaled shift), the
+    // multiply reward (3) and a power of two too large to pre-scale
+    // (2^23: 256 << 23 overflows an int32).
+    const std::vector<double> bonuses{0.0, 1.0, 2.0, 3.0, 4194304.0,
+                                      8388608.0};
+    const std::vector<int> caps{1, 10, 255};
+    Rng rng(0xd1ffULL);
+    for (int draw = 0; draw < 200; ++draw) {
+        SdtwConfig config;
+        config.metric = rng.uniformInt(0, 1) != 0
+                            ? CostMetric::SquaredDifference
+                            : CostMetric::AbsoluteDifference;
+        config.allowReferenceDeletion = rng.uniformInt(0, 1) != 0;
+        config.matchBonus =
+            bonuses[std::size_t(rng.uniformInt(0, 5))];
+        config.dwellCap = caps[std::size_t(rng.uniformInt(0, 2))];
+        // Every large bonus meets cap 255 at least once, with queries
+        // long enough for column 0's dwell to reach the cap.
+        const bool deep = draw < 2;
+        if (deep) {
+            config.matchBonus = bonuses[std::size_t(4 + draw)];
+            config.dwellCap = 255;
+        }
+        const auto m = std::size_t(rng.uniformInt(1, 160));
+        const auto ref = randomQuantSignal(m, rng);
+        const auto n_lanes = std::size_t(rng.uniformInt(1, 40));
+        const std::size_t tile =
+            rng.uniformInt(0, 2) == 0
+                ? 0 // auto
+                : std::size_t(rng.uniformInt(1, std::int64_t(m) + 4));
+
+        // Per-lane query and ragged chunk cut points.
+        std::vector<std::vector<NormSample>> queries(n_lanes);
+        std::vector<std::vector<std::size_t>> cuts(n_lanes);
+        std::size_t max_chunks = 0;
+        for (std::size_t i = 0; i < n_lanes; ++i) {
+            queries[i] = randomQuantSignal(
+                std::size_t(rng.uniformInt(deep ? 260 : 1, deep ? 300 : 90)),
+                rng);
+            for (std::size_t at = 0; at < queries[i].size();) {
+                at = std::min(queries[i].size(),
+                              at + std::size_t(rng.uniformInt(1, 40)));
+                cuts[i].push_back(at);
+            }
+            max_chunks = std::max(max_chunks, cuts[i].size());
+        }
+
+        std::vector<PlainSdtw> want(n_lanes, PlainSdtw{config, {}, {}});
+        for (std::size_t i = 0; i < n_lanes; ++i)
+            for (const NormSample s : queries[i])
+                want[i].fold(s, ref);
+
+        const QuantSdtw engine(config);
+        for (std::size_t i = 0; i < n_lanes; ++i) {
+            QuantSdtw::State state;
+            std::size_t from = 0;
+            for (const std::size_t to : cuts[i]) {
+                engine.process(std::span<const NormSample>(queries[i])
+                                   .subspan(from, to - from),
+                               ref, state);
+                from = to;
+            }
+            ASSERT_EQ(state.row, want[i].row) << "serial draw " << draw;
+            ASSERT_EQ(state.dwell, want[i].dwell) << "serial draw " << draw;
+        }
+
+        for (SimdBackend backend : availableBackends()) {
+            BatchSdtw kernel(config, 16, backend);
+            kernel.setSerialCutover(0);
+            kernel.setTileCols(tile);
+            std::vector<QuantSdtw::State> states(n_lanes);
+            std::vector<std::size_t> done(n_lanes, 0);
+            for (std::size_t c = 0; c < max_chunks; ++c) {
+                std::vector<BatchLane> lanes;
+                for (std::size_t i = 0; i < n_lanes; ++i) {
+                    if (c >= cuts[i].size())
+                        continue;
+                    lanes.push_back(
+                        {&states[i],
+                         std::span<const NormSample>(queries[i])
+                             .subspan(done[i], cuts[i][c] - done[i]),
+                         {}});
+                    done[i] = cuts[i][c];
+                }
+                kernel.processMany(lanes, ref);
+            }
+            ASSERT_EQ(kernel.foldStats().serialCalls, 0u);
+            for (std::size_t i = 0; i < n_lanes; ++i) {
+                const std::string label =
+                    std::string(simdBackendName(backend)) + " draw " +
+                    std::to_string(draw) + " lane " + std::to_string(i) +
+                    " " + config.describe() + " cap " +
+                    std::to_string(config.dwellCap);
+                ASSERT_EQ(states[i].rowsDone, queries[i].size()) << label;
+                ASSERT_EQ(states[i].row, want[i].row) << label;
+                ASSERT_EQ(states[i].dwell, want[i].dwell) << label;
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------- //

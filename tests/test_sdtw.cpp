@@ -327,6 +327,20 @@ TEST(Engine, MismatchedStateIsFatal)
     EXPECT_THROW(engine.process(q, ref_b, state), FatalError);
 }
 
+TEST(Engine, DwellShorterThanRowIsFatal)
+{
+    // A resumed state is read column by column from both vectors; a
+    // short dwell vector must be refused, not read out of bounds.
+    const QuantSdtw engine(hardwareConfig());
+    QuantSdtw::State state;
+    std::vector<NormSample> q(4, 0), ref(10, 0);
+    engine.process(q, ref, state);
+    state.dwell.resize(ref.size() - 1);
+    EXPECT_THROW(engine.process(q, ref, state), FatalError);
+    state.dwell.clear();
+    EXPECT_THROW(engine.process(q, ref, state), FatalError);
+}
+
 TEST(Engine, InvalidConfigIsFatal)
 {
     SdtwConfig config;
