@@ -4,17 +4,16 @@
  * on the measured software path (per-worker SIMD BatchSdtw, wall-clock
  * latency) and on the modelled ASIC path (hw::AsicBackend — identical
  * quantized DP, latency/energy from the systolic cycle model), plus a
- * design-space sweep over array dimension x dataflow.
+ * design-space sweep over the array dimension.
  *
  * The contract under test is the backend seam's first law: scores are
  * the software kernel's scores on every backend, so the decision log
  * must be bit-identical between the two runs — only the latency and
- * power accounting may differ.  The sweep then walks the modelled chip
- * through 1000/2000/4000-PE arrays in both query-stationary (multi-
- * pass when the accumulated query outgrows the array) and reference-
- * stationary (tiled when the ~97k-sample reference outgrows it)
- * dataflows, reporting modelled p50 latency, cycles, array passes and
- * DRAM checkpoint traffic per decision.
+ * power accounting may differ.  The sweep then walks the modelled
+ * query-stationary chip through 1000/2000/4000-PE arrays (multi-pass
+ * when a decision's new query rows outgrow the array), reporting
+ * modelled p50 latency, cycles, array passes and DRAM checkpoint
+ * traffic per decision.
  *
  * Environment knobs (documented in docs/OPERATIONS.md):
  *   SF_BACKEND_READS     reads sequenced per run      (default 64)
@@ -161,32 +160,25 @@ main()
                       fmt(paper_spec.clockGhz, 2) + " GHz"});
     table.print();
 
-    // ---- design-space sweep: array dim x dataflow ----------------- //
+    // ---- design-space sweep: array dim ---------------------------- //
     Table sweep_table("Design-space sweep (modelled)",
-                      {"PEs", "Dataflow", "p50 us", "cycles/dec",
-                       "passes/dec", "ckpt KiB/dec", "uJ/dec"});
+                      {"PEs", "p50 us", "cycles/dec", "passes/dec",
+                       "ckpt KiB/dec", "uJ/dec"});
     std::vector<AsicRow> sweep;
     bool sweep_logs_match = true;
     for (std::size_t pes : {std::size_t(1000), std::size_t(2000),
                             std::size_t(4000)}) {
-        for (const auto dataflow :
-             {stream::AsicDataflow::QueryStationary,
-              stream::AsicDataflow::ReferenceStationary}) {
-            stream::AsicSpec spec;
-            spec.arrayDim = pes;
-            spec.dataflow = dataflow;
-            const AsicRow row =
-                runAsic(classifier, cfg, dataset.reads, spec, software);
-            sweep_logs_match = sweep_logs_match && row.logsMatch;
-            sweep_table.addRow(
-                {std::to_string(pes),
-                 stream::asicDataflowName(dataflow),
-                 fmt(row.p50us, 2), fmt(row.cyclesPerDecision, 0),
-                 fmt(row.passesPerDecision, 2),
-                 fmt(row.checkpointKbPerDecision, 1),
-                 fmt(row.energyUjPerDecision, 2)});
-            sweep.push_back(row);
-        }
+        stream::AsicSpec spec;
+        spec.arrayDim = pes;
+        const AsicRow row =
+            runAsic(classifier, cfg, dataset.reads, spec, software);
+        sweep_logs_match = sweep_logs_match && row.logsMatch;
+        sweep_table.addRow({std::to_string(pes), fmt(row.p50us, 2),
+                            fmt(row.cyclesPerDecision, 0),
+                            fmt(row.passesPerDecision, 2),
+                            fmt(row.checkpointKbPerDecision, 1),
+                            fmt(row.energyUjPerDecision, 2)});
+        sweep.push_back(row);
     }
     sweep_table.print();
 
@@ -203,14 +195,13 @@ main()
         const AsicRow &row = sweep[i];
         char buf[256];
         std::snprintf(buf, sizeof(buf),
-                      "%s{\"pes\": %zu, \"dataflow\": \"%s\", "
-                      "\"p50_us\": %.3f, \"cycles_per_decision\": %.0f, "
+                      "%s{\"pes\": %zu, \"p50_us\": %.3f, "
+                      "\"cycles_per_decision\": %.0f, "
                       "\"passes_per_decision\": %.2f, "
                       "\"energy_uj_per_decision\": %.3f}",
-                      i == 0 ? "" : ", ", row.spec.arrayDim,
-                      stream::asicDataflowName(row.spec.dataflow),
-                      row.p50us, row.cyclesPerDecision,
-                      row.passesPerDecision, row.energyUjPerDecision);
+                      i == 0 ? "" : ", ", row.spec.arrayDim, row.p50us,
+                      row.cyclesPerDecision, row.passesPerDecision,
+                      row.energyUjPerDecision);
         sweep_json += buf;
     }
     sweep_json += "]";
@@ -219,8 +210,8 @@ main()
         "\"workers\": %u, \"ref_samples\": %zu, \"simd\": \"%s\", "
         "\"software\": {\"chunks_per_s\": %.2f, \"p50_us\": %.1f, "
         "\"p99_us\": %.1f}, "
-        "\"asic\": {\"array_dim\": %zu, \"dataflow\": \"%s\", "
-        "\"clock_ghz\": %.2f, \"p50_us\": %.3f, \"p99_us\": %.3f, "
+        "\"asic\": {\"array_dim\": %zu, \"clock_ghz\": %.2f, "
+        "\"p50_us\": %.3f, \"p99_us\": %.3f, "
         "\"cycles_per_decision\": %.0f, \"passes_per_decision\": %.2f, "
         "\"checkpoint_kib_per_decision\": %.1f, "
         "\"energy_uj_per_decision\": %.3f}, "
@@ -228,7 +219,6 @@ main()
         reads, channels, workers, ref_samples, simd,
         software.stats.chunksPerSec, software.stats.latency.p50us,
         software.stats.latency.p99us, paper_spec.arrayDim,
-        stream::asicDataflowName(paper_spec.dataflow),
         paper_spec.clockGhz, asic.p50us, asic.p99us,
         asic.cyclesPerDecision, asic.passesPerDecision,
         asic.checkpointKbPerDecision, asic.energyUjPerDecision,

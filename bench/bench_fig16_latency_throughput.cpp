@@ -21,9 +21,9 @@ main()
     const hw::AsicModel asic(2000, 5);
 
     const double sf_latency_ms =
-        hw::AsicModel::classifyLatencyMs(2000, sars.size());
+        asic.classifyLatencyMs(2000, sars.size());
     const double sf_tile_samples =
-        hw::AsicModel::tileThroughputSamplesPerSec(2000, sars.size());
+        asic.tileThroughputSamplesPerSec(2000, sars.size());
     const double sf_chip_samples =
         asic.chipThroughputSamplesPerSec(2000, sars.size(), 5);
     // Raw samples -> bases via ~8.9 samples/base.
@@ -74,7 +74,7 @@ main()
     const double jetson_samples =
         jetson_lite.readUntilThroughputBasesPerSec() * kSamplesPerBase;
     const double sf_lambda_latency =
-        hw::AsicModel::classifyLatencyMs(2000, lambda.size());
+        asic.classifyLatencyMs(2000, lambda.size());
 
     std::printf("Headline ratios:\n");
     std::printf("  throughput: %.0fx over Guppy-lite on the edge GPU "

@@ -121,7 +121,7 @@ main()
                     jetson_lite.decisionLatencyMs() / 1e3);
         const double sf_h = hoursAt(
             scale, sf_cov, sf_tpr, sf_fpr,
-            hw::AsicModel::classifyLatencyMs(2000, sars.size()) / 1e3);
+            asic.classifyLatencyMs(2000, sars.size()) / 1e3);
 
         table.addRow({fmt(scale, 4) + "x", fmt(none, 3),
                       fmt(lite_h, 3), fmtPct(lite_cov, 1),

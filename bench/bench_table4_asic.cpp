@@ -1,14 +1,14 @@
 /**
  * @file
  * Table 4: SquiggleFilter ASIC synthesis results, plus the §7.1
- * latency/throughput numbers derived from the cycle model — including
- * a cross-check against the cycle-accurate systolic-array simulator.
+ * latency/throughput numbers derived from the cycle model
+ * (hw::modelDecision, which the test suite checks against the
+ * event-level systolic-array simulator).
  */
 
 #include "bench_util.hpp"
 #include "common/table.hpp"
 #include "hw/asic_model.hpp"
-#include "hw/tile.hpp"
 
 using namespace sf;
 
@@ -28,11 +28,9 @@ main()
                 "Tile (Msamp/s)", "5-tile chip (Msamp/s)",
                 "vs MinION max"});
     for (const auto *ref : {&sars, &lambda}) {
-        const double latency =
-            hw::AsicModel::classifyLatencyMs(2000, ref->size());
+        const double latency = asic.classifyLatencyMs(2000, ref->size());
         const double tile =
-            hw::AsicModel::tileThroughputSamplesPerSec(2000,
-                                                       ref->size());
+            asic.tileThroughputSamplesPerSec(2000, ref->size());
         const double chip =
             asic.chipThroughputSamplesPerSec(2000, ref->size(), 5);
         perf.addRow({ref->referenceName(), fmtInt(long(ref->size())),
@@ -41,25 +39,6 @@ main()
                      fmt(chip / kMinionMaxSamplesPerSec, 3) + "x"});
     }
     perf.print();
-
-    // Cross-check the analytical cycle count against the
-    // cycle-accurate tile simulation on one real classification.
-    const auto dataset = pipeline::makeCovidDataset(2, 0x7ab4);
-    hw::TileConfig config;
-    config.cycleAccurate = true;
-    hw::Tile tile(sars, config);
-    for (const auto &read : dataset.reads) {
-        if (read.raw.size() < 2000)
-            continue;
-        const auto result = tile.processRead(
-            std::span<const RawSample>(read.raw), {{2000, kCostMax}});
-        std::printf("cycle-accurate tile: %llu cycles; analytical "
-                    "model: %llu cycles (must match)\n",
-                    (unsigned long long)result.cycles,
-                    (unsigned long long)hw::AsicModel::classifyCycles(
-                        2000, sars.size()));
-        break;
-    }
 
     std::printf("\nPaper anchors: 13.25 mm2 / 14.31 W chip; 0.027 ms "
                 "(SARS-CoV-2) and 0.043 ms (lambda) latency;\n74.63 / "

@@ -1,8 +1,12 @@
 /**
  * @file
- * Hardware walk-through: run reads through the cycle-accurate 5-tile
- * accelerator model with multi-stage filtering, and report per-read
- * timing, DRAM traffic, chip utilisation, and the ASIC power budget.
+ * Hardware walk-through: run reads through the 5-tile accelerator
+ * model with multi-stage filtering, and report per-read timing, DRAM
+ * traffic, chip utilisation, and the ASIC power budget.  Each tile
+ * classifies with the software filter's recurrence and charges every
+ * stage's fold from the closed-form systolic cycle model
+ * (hw::modelDecision), which the test suite checks against the
+ * event-level PE array.
  */
 
 #include <cstdio>
@@ -35,9 +39,7 @@ main()
                 stages[0].threshold, stages[0].prefixSamples,
                 stages[1].threshold, stages[1].prefixSamples);
 
-    hw::AcceleratorConfig config;
-    config.tile.cycleAccurate = false; // set true for PE-level sim
-    hw::Accelerator accelerator(reference, config);
+    hw::Accelerator accelerator(reference, hw::AcceleratorConfig{});
 
     std::vector<hw::DispatchedRead> outcomes;
     const auto stats =

@@ -20,16 +20,14 @@
 #    falls below 5x.
 # 3. Runs bench_backend (the same streaming session on the measured
 #    software backend and on the modelled-ASIC backend, plus a PE-count
-#    x dataflow design-space sweep) and fails when
+#    design-space sweep) and fails when
 #    - the two backends' decision logs are not bit-identical (the
 #      backend seam's first law, gated at any sweep point),
 #    - the modelled asic p50 leaves the +-margin envelope around the
 #      BENCH_stream.json "backend" baseline (the cycle model is
 #      deterministic; drift means the model or decision stream moved),
 #    - software chunks/s drops below the usual margin floor,
-#    - the sweep is not monotone (more PEs must never slow a dataflow)
-#      or a reference-stationary array smaller than the reference
-#      fails to tile.
+#    - the sweep is not monotone (more PEs must never slow the chip).
 # 4. Runs bench_fleet (N sessions on one shared worker pool vs the
 #    same sessions isolated) and fails when
 #    - aggregate fleet chunks/s drops more than the margin below
@@ -359,34 +357,18 @@ if sw < sw_floor:
     failures.append("software chunks/s")
 
 # Sweep sanity (same-run, host-independent): more PEs must never make
-# a dataflow slower, and a reference-stationary array smaller than the
-# reference must actually tile (passes > 1).
-by_flow = {}
-for row in measured["sweep"]:
-    by_flow.setdefault(row["dataflow"], []).append(row)
-for flow, rows in sorted(by_flow.items()):
-    rows.sort(key=lambda r: r["pes"])
-    mono = all(a["p50_us"] >= b["p50_us"] - 1e-9
-               for a, b in zip(rows, rows[1:]))
-    status = "OK " if mono else "FAIL"
-    trend = " -> ".join(f"{r['p50_us']:.2f}" for r in rows)
-    print(f"  [{status}] sweep {flow}: p50 {trend} us over PEs "
-          f"{[r['pes'] for r in rows]}")
-    if not mono:
-        failures.append(f"sweep p50 not monotone for {flow}")
-ref = measured["ref_samples"]
-for row in measured["sweep"]:
-    if row["dataflow"] == "reference_stationary" and row["pes"] < ref:
-        ok = row["passes_per_decision"] > 1.0
-        status = "OK " if ok else "FAIL"
-        print(f"  [{status}] rs {row['pes']} PEs < ref {ref}: "
-              f"{row['passes_per_decision']:.2f} tiles/decision")
-        if not ok:
-            failures.append(
-                f"rs {row['pes']}-PE array did not tile the reference")
+# the chip slower.
+rows = sorted(measured["sweep"], key=lambda r: r["pes"])
+mono = all(a["p50_us"] >= b["p50_us"] - 1e-9
+           for a, b in zip(rows, rows[1:]))
+status = "OK " if mono else "FAIL"
+trend = " -> ".join(f"{r['p50_us']:.2f}" for r in rows)
+print(f"  [{status}] sweep: p50 {trend} us over PEs "
+      f"{[r['pes'] for r in rows]}")
+if not mono:
+    failures.append("sweep p50 not monotone")
 
-print(f"  [inf] modelled {measured['asic']['array_dim']}-PE "
-      f"{measured['asic']['dataflow']} chip: "
+print(f"  [inf] modelled {measured['asic']['array_dim']}-PE chip: "
       f"{measured['asic']['cycles_per_decision']:.0f} cycles, "
       f"{measured['asic']['energy_uj_per_decision']:.2f} uJ, "
       f"{measured['asic']['checkpoint_kib_per_decision']:.1f} KiB "

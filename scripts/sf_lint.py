@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-specific lint for invariants no generic tool knows.
 
-Eight rules, each encoding a correctness contract of this codebase:
+Nine rules, each encoding a correctness contract of this codebase:
 
   simd-backend-integrity   Every SIMD backend TU (src/sdtw/
                            batch_{sse2,avx2,avx512}.cpp) keeps its
@@ -45,6 +45,14 @@ Eight rules, each encoding a correctness contract of this codebase:
                            stream layer reaches down into the
                            modelled hardware (hw/ includes stream/,
                            never the reverse).
+
+  hw-oracle-containment    No file under src/ other than
+                           src/hw/systolic.* includes hw/systolic.hpp
+                           or hw/pe.hpp.  The event-level PE array is
+                           the test oracle of the one closed-form
+                           cycle model (hw::modelDecision); src/ code
+                           that timed itself with the simulator would
+                           grow a second cycle model nothing checks.
 
   quantized-hot-path-purity  The quantized sDTW hot path (the lane-
                            batched kernel TUs) must stay integer-only:
@@ -356,6 +364,35 @@ def rule_hw_layering(root: Path, findings: List[Finding]):
 
 
 # ------------------------------------------------------------------ #
+# Rule: hw-oracle-containment                                         #
+# ------------------------------------------------------------------ #
+
+HW_ORACLE_HEADERS = re.compile(
+    r'^[ \t]*#[ \t]*include[ \t]*[<"]hw/(systolic|pe)\.hpp[>"]', re.M)
+
+# The simulator itself: systolic.{hpp,cpp} (pe.hpp is header-only).
+HW_ORACLE_EXEMPT = ("src/hw/systolic.hpp", "src/hw/systolic.cpp")
+
+
+def rule_hw_oracle_containment(root: Path, findings: List[Finding]):
+    rule = "hw-oracle-containment"
+    for path in sorted((root / "src").rglob("*")):
+        if path.suffix not in (".hpp", ".cpp"):
+            continue
+        rel = path.relative_to(root).as_posix()
+        if rel in HW_ORACLE_EXEMPT:
+            continue
+        text = path.read_text()
+        for m in HW_ORACLE_HEADERS.finditer(text):
+            findings.append(
+                Finding(rule, f"{rel}:{line_of(text, m.start())}",
+                        "the event-level systolic array is a test "
+                        "oracle; time the hardware with "
+                        "hw::modelDecision (hw/asic_model.hpp) "
+                        "instead"))
+
+
+# ------------------------------------------------------------------ #
 # Rule: quantized-hot-path-purity                                     #
 # ------------------------------------------------------------------ #
 
@@ -520,6 +557,7 @@ RULES = [
     rule_concurrency_containment,
     rule_pool_wait_discipline,
     rule_hw_layering,
+    rule_hw_oracle_containment,
     rule_quantized_hot_path_purity,
     rule_tiling_containment,
     rule_env_knob_docs,

@@ -200,7 +200,7 @@ FleetOrchestrator::addSession(SessionSpec spec)
         if (hasAsic_ && s.config.asic != asicSpec_)
             fatal("FleetOrchestrator session '%s' disagrees with the "
                   "fleet on the AsicSpec design point; a fleet models "
-                  "one chip (arrayDim/dataflow/clock must match)",
+                  "one chip (arrayDim/clock must match)",
                   s.name.c_str());
         asicSpec_ = s.config.asic;
         hasAsic_ = true;

@@ -8,15 +8,12 @@ namespace sf::hw {
 
 Accelerator::Accelerator(const pore::ReferenceSquiggle &reference,
                          AcceleratorConfig config)
-    : config_(config)
+    : config_(config), tile_(reference, config.tile)
 {
     if (config_.numTiles < 1)
         fatal("accelerator needs at least one tile");
     config_.activeTiles =
         std::clamp(config_.activeTiles, 1, config_.numTiles);
-    tiles_.reserve(std::size_t(config_.numTiles));
-    for (int t = 0; t < config_.numTiles; ++t)
-        tiles_.emplace_back(reference, config_.tile);
 }
 
 void
@@ -48,7 +45,7 @@ Accelerator::processBatch(const std::vector<signal::ReadRecord> &reads,
         }
         const std::uint64_t start = busy_until[tile];
 
-        auto result = tiles_[tile].processRead(
+        auto result = tile_.processRead(
             std::span<const RawSample>(read.raw), stages);
         busy_until[tile] = start + result.cycles;
 

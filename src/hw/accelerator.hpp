@@ -53,7 +53,8 @@ struct DispatchedRead
     TileResult result;
 };
 
-/** Whole-chip model: dispatch queue over identical tiles. */
+/** Whole-chip model: dispatch queue over identical tiles (one Tile
+    models them all; it keeps no per-read state). */
 class Accelerator
 {
   public:
@@ -85,7 +86,7 @@ class Accelerator
 
   private:
     AcceleratorConfig config_;
-    std::vector<Tile> tiles_;
+    Tile tile_;
 };
 
 } // namespace sf::hw

@@ -18,21 +18,10 @@
  * the modelled chip — the paper's software-vs-ASIC side-by-side from
  * one execution.
  *
- * The cycle model covers both dataflows of a 1D array of D PEs
- * against an M-sample reference, folding L new query rows:
- *
- *  - normalisation pipeline: 2L cycles (mean/MAD pass + scale pass);
- *  - QueryStationary: the query chunk is pinned to PEs, the reference
- *    streams through; L > D takes p = ceil(L/D) passes, each
- *    chunk + M - 1 cycles (SystolicArray::passCycles), total
- *    L + p(M-1); the DP row carries through DRAM between passes
- *    ((p-1) * 2M cells written + read);
- *  - ReferenceStationary: the reference is tiled across the array in
- *    t = ceil(M/D) tiles and the query streams through each, total
- *    tL + M - t cycles with an L-deep column carry between tiles
- *    ((t-1) * 2L cells);
- *  - multi-stage checkpointing (§4.6): a resumed stream reads its
- *    M-cell row from DRAM, an undecided stream writes it back.
+ * Each Asic decision is charged from hw::modelDecision (asic_model.hpp),
+ * the one closed-form model of the query-stationary array, with the
+ * rows the decision folded, whether it resumed a checkpoint, and
+ * whether it was the read's last fold.
  *
  * With the Table 4 design point (D = 2000, 2.5 GHz) a 1600-sample
  * chunk against the ~97k-sample SARS-CoV-2 reference models ~41 us —
@@ -45,26 +34,6 @@
 #include "stream/decision_service.hpp"
 
 namespace sf::hw {
-
-/** Per-decision cycle/traffic breakdown of the modelled array. */
-struct AsicDecisionModel
-{
-    std::uint64_t cycles = 0;          //!< normalise + array cycles
-    std::uint64_t passes = 0;          //!< array passes / tiles walked
-    std::uint64_t checkpointBytes = 0; //!< DRAM carry + resume/save
-};
-
-/**
- * Pure cycle model for one decision: @p rows_folded new query rows
- * against an @p ref_samples reference on a @p spec array.  @p resumed
- * charges the checkpoint-row read, @p checkpointed the write-back.
- * Zero rows folded (a chunk that crossed no stage boundary) models
- * zero cycles.  Exposed for tests and the design-space sweep.
- */
-AsicDecisionModel modelDecision(const stream::AsicSpec &spec,
-                                std::uint64_t rows_folded,
-                                std::size_t ref_samples, bool resumed,
-                                bool checkpointed);
 
 /** DecisionBackend charging modelled-ASIC latency to Asic requests. */
 class AsicBackend final : public stream::DecisionBackend

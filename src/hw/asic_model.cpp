@@ -3,9 +3,28 @@
 #include <algorithm>
 
 #include "common/logging.hpp"
-#include "hw/systolic.hpp"
 
 namespace sf::hw {
+
+AsicDecisionModel
+modelDecision(std::size_t num_pes, std::uint64_t rows_folded,
+              std::size_t ref_samples, bool resumed, bool last_fold)
+{
+    if (num_pes == 0)
+        fatal("the modelled array needs at least one PE");
+    AsicDecisionModel model;
+    const std::uint64_t L = rows_folded;
+    const std::uint64_t M = ref_samples;
+    if (L == 0 || M == 0)
+        return model; // no stage boundary crossed: no DP work
+    const std::uint64_t p = (L + num_pes - 1) / num_pes;
+    model.passes = p;
+    model.cycles = 2 * L + L + p * (M - 1);
+    const std::uint64_t row_bytes = M * kCheckpointBytesPerCell;
+    model.dramBytesRead = (p - 1 + (resumed ? 1 : 0)) * row_bytes;
+    model.dramBytesWritten = (p - 1 + (last_fold ? 0 : 1)) * row_bytes;
+    return model;
+}
 
 AsicModel::AsicModel(std::size_t num_pes, int num_tiles)
     : numPes_(num_pes), numTiles_(num_tiles)
@@ -58,15 +77,16 @@ AsicModel::chipPowerW(int active_tiles) const
 
 std::uint64_t
 AsicModel::classifyCycles(std::size_t prefix_samples,
-                          std::size_t ref_samples)
+                          std::size_t ref_samples) const
 {
-    return 2 * std::uint64_t(prefix_samples) +
-           SystolicArray::passCycles(prefix_samples, ref_samples);
+    return modelDecision(numPes_, prefix_samples, ref_samples,
+                         /*resumed=*/false, /*last_fold=*/true)
+        .cycles;
 }
 
 double
 AsicModel::classifyLatencyMs(std::size_t prefix_samples,
-                             std::size_t ref_samples)
+                             std::size_t ref_samples) const
 {
     return double(classifyCycles(prefix_samples, ref_samples)) /
            (kClockGhz * 1e9) * 1e3;
@@ -74,7 +94,7 @@ AsicModel::classifyLatencyMs(std::size_t prefix_samples,
 
 double
 AsicModel::tileThroughputSamplesPerSec(std::size_t prefix_samples,
-                                       std::size_t ref_samples)
+                                       std::size_t ref_samples) const
 {
     const double seconds =
         double(classifyCycles(prefix_samples, ref_samples)) /
@@ -95,7 +115,7 @@ AsicModel::chipThroughputSamplesPerSec(std::size_t prefix_samples,
 double
 AsicModel::checkpointBandwidthGBsPerTile()
 {
-    return SystolicArray::kCheckpointBytesPerCell * kClockGhz * 1e9 / 1e9;
+    return kCheckpointBytesPerCell * kClockGhz * 1e9 / 1e9;
 }
 
 std::vector<ComponentCost>

@@ -11,6 +11,11 @@
  * factor (not every PE computes every cycle — the wavefront ramps).
  * Composing the constants reproduces Table 4 and, together with the
  * cycle model, the latency/throughput claims of §7.1-§7.2.
+ *
+ * modelDecision() is the one closed-form timing model of the array:
+ * hw::AsicBackend, hw::Tile and the AsicModel latency/throughput
+ * figures all charge from it, and the test suite checks it against the
+ * event-level hw::SystolicArray over random shapes.
  */
 
 #include <cstdint>
@@ -20,6 +25,47 @@
 #include "common/table.hpp"
 
 namespace sf::hw {
+
+/** Bytes per checkpointed DP cell (24-bit cost + 8-bit dwell). */
+inline constexpr std::uint64_t kCheckpointBytesPerCell = 4;
+
+/** Cycles and DRAM traffic of one fold on the modelled array. */
+struct AsicDecisionModel
+{
+    std::uint64_t cycles = 0;           //!< normalise + array cycles
+    std::uint64_t passes = 0;           //!< array passes
+    std::uint64_t dramBytesRead = 0;    //!< checkpoint rows streamed in
+    std::uint64_t dramBytesWritten = 0; //!< checkpoint rows written back
+
+    std::uint64_t
+    checkpointBytes() const
+    {
+        return dramBytesRead + dramBytesWritten;
+    }
+};
+
+/**
+ * Query-stationary 1D array of @p num_pes PEs (§5.1, Figure 13)
+ * folding @p rows_folded new query rows against an @p ref_samples
+ * reference:
+ *
+ *  - normalisation pipeline: 2L cycles (mean/MAD pass + scale pass);
+ *  - p = ceil(L/D) array passes, each chunk + M - 1 cycles with the
+ *    chunks summing to L, so L + p(M - 1) cycles;
+ *  - DRAM (§4.6): every pass after the first reads the M-cell row
+ *    its predecessor wrote; the first reads the saved row when the
+ *    fold @p resumed an earlier one, and the last writes its row back
+ *    unless this is the read's @p last_fold (its final stage was
+ *    evaluated or the read ended).  A row streams out before its
+ *    minimum decides the read, so a mid-schedule eject still writes.
+ *
+ * Zero rows folded (a chunk that crossed no stage boundary) models
+ * zero cycles and no traffic.
+ */
+AsicDecisionModel modelDecision(std::size_t num_pes,
+                                std::uint64_t rows_folded,
+                                std::size_t ref_samples, bool resumed,
+                                bool last_fold);
 
 /** One row of the synthesis summary. */
 struct ComponentCost
@@ -67,20 +113,21 @@ class AsicModel
     /** Chip power with @p active_tiles not power-gated. */
     double chipPowerW(int active_tiles) const;
 
-    /** Cycles to classify a prefix: 2L (normalise) + L + M - 1. */
-    static std::uint64_t classifyCycles(std::size_t prefix_samples,
-                                        std::size_t ref_samples);
+    /** Cycles to classify a fresh prefix in one fold on this array
+        (modelDecision): 2L + L + ceil(L/D)(M - 1). */
+    std::uint64_t classifyCycles(std::size_t prefix_samples,
+                                 std::size_t ref_samples) const;
 
     /** Classification latency in milliseconds. */
-    static double classifyLatencyMs(std::size_t prefix_samples,
-                                    std::size_t ref_samples);
+    double classifyLatencyMs(std::size_t prefix_samples,
+                             std::size_t ref_samples) const;
 
     /**
      * Steady-state samples/second classified by one tile: L raw
      * samples retired per classifyCycles() period.
      */
-    static double tileThroughputSamplesPerSec(std::size_t prefix_samples,
-                                              std::size_t ref_samples);
+    double tileThroughputSamplesPerSec(std::size_t prefix_samples,
+                                       std::size_t ref_samples) const;
 
     /** Chip throughput with @p active_tiles tiles running. */
     double chipThroughputSamplesPerSec(std::size_t prefix_samples,

@@ -71,6 +71,7 @@ SystolicArray::run(std::span<const NormSample> query,
             if (resume) {
                 up.costD1 = state->row[j];
                 up.dwellD1 = state->dwell[j];
+                result.checkpointBytesRead += kCheckpointBytesPerCell;
                 if (j >= 1) {
                     up.validD2 = true;
                     up.costD2 = state->row[j - 1];

@@ -15,6 +15,10 @@
  *
  * The array is bit-exact against sf::sdtw::QuantSdtw configured with
  * the same match bonus and dwell cap — enforced by property tests.
+ * It is the event-level oracle of the closed-form hw::modelDecision
+ * (asic_model.hpp), which everything else in src/ charges from; only
+ * tests and benches include this header (sf-lint's
+ * hw-oracle-containment).
  */
 
 #include <cstdint>
@@ -22,6 +26,7 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "hw/asic_model.hpp"
 #include "hw/pe.hpp"
 #include "sdtw/engine.hpp"
 
@@ -35,15 +40,13 @@ struct SystolicResult
     std::uint64_t cycles = 0; //!< clock cycles consumed by the pass
     std::uint64_t cellsComputed = 0; //!< PE-cycles doing real work
     std::uint64_t checkpointBytes = 0; //!< DRAM bytes written
+    std::uint64_t checkpointBytesRead = 0; //!< DRAM bytes streamed in
 };
 
 /** Cycle-accurate systolic array simulator. */
 class SystolicArray
 {
   public:
-    /** Bytes per checkpointed cell (24-bit cost + 8-bit dwell). */
-    static constexpr std::uint64_t kCheckpointBytesPerCell = 4;
-
     /**
      * @param num_pes physical array length (2000 in the paper)
      * @param config DP switches; the hardware implements the absolute
@@ -73,11 +76,7 @@ class SystolicArray
     /** The DP configuration in effect. */
     const sdtw::SdtwConfig &config() const { return config_; }
 
-    /**
-     * Pure timing model for one pass: N + M - 1 cycles.  The simulator
-     * counts exactly this; exposed so higher levels can reason about
-     * timing without simulating.
-     */
+    /** Cycles of one pass: N + M - 1, the count run() simulates. */
     static std::uint64_t
     passCycles(std::size_t query_len, std::size_t ref_len)
     {

@@ -3,13 +3,16 @@
 #include <algorithm>
 
 #include "common/logging.hpp"
+#include "hw/asic_model.hpp"
+#include "stream/decision_service.hpp"
 
 namespace sf::hw {
 
 Tile::Tile(const pore::ReferenceSquiggle &reference, TileConfig config)
-    : reference_(reference), config_(config),
-      array_(config.numPes, config.dp), engine_(config.dp)
+    : reference_(reference), config_(config)
 {
+    stream::checkAsicImplementable({config_.numPes, config_.clockGhz},
+                                   config_.dp);
     if (referenceBytes(reference_.size()) > config_.referenceBufferBytes) {
         fatal("reference '%s' (%zu samples) exceeds the %zu-byte "
               "reference buffer; the filter targets genomes under "
@@ -21,99 +24,33 @@ Tile::Tile(const pore::ReferenceSquiggle &reference, TileConfig config)
 
 TileResult
 Tile::processRead(std::span<const RawSample> raw,
-                  const std::vector<sdtw::FilterStage> &stages)
+                  const std::vector<sdtw::FilterStage> &stages) const
 {
-    if (stages.empty())
-        fatal("tile needs at least one filter stage");
+    sdtw::SquiggleFilterClassifier classifier(reference_, config_.dp);
+    classifier.setStages(stages);
+    sdtw::ClassifierStream stream = classifier.beginStream();
 
+    // Feed the read stage by stage: snapshot the fold progress, fold,
+    // then charge the stage's new rows, as hw::AsicBackend does per
+    // decision.  A read shorter than a stage prefix ends there.
     TileResult result;
-    if (raw.empty()) {
-        result.classification.keep = true;
-        return result;
+    for (std::size_t s = 0; s < stages.size() && !stream.decided; ++s) {
+        const std::size_t want =
+            std::min(stages[s].prefixSamples, raw.size());
+        const bool truncated = want < stages[s].prefixSamples;
+        const std::uint64_t pre = stream.rowsFolded;
+        const std::size_t seen = stream.samplesSeen();
+        classifier.feedChunk(stream, raw.subspan(seen, want - seen));
+        if (truncated)
+            classifier.finishStream(stream);
+        const AsicDecisionModel model = modelDecision(
+            config_.numPes, stream.rowsFolded - pre, reference_.size(),
+            pre > 0, truncated || s + 1 == stages.size());
+        result.cycles += model.cycles;
+        result.dramBytesRead += model.dramBytesRead;
+        result.dramBytesWritten += model.dramBytesWritten;
     }
-
-    sdtw::MeanMadNormalizer normalizer;
-    sdtw::QuantSdtw::State state;
-    const std::span<const NormSample> ref(reference_.samples());
-    const std::size_t m = ref.size();
-
-    std::size_t consumed = 0;
-    for (std::size_t s = 0; s < stages.size(); ++s) {
-        const auto &stage = stages[s];
-        const std::size_t want = std::min(stage.prefixSamples, raw.size());
-        const bool truncated = want < stage.prefixSamples;
-        const bool last_stage = (s + 1 == stages.size()) || truncated;
-
-        if (want > consumed) {
-            // Normalise the new samples (2 cycles per sample: the
-            // statistics pass overlaps buffer load, the transform
-            // pass streams into the array's query registers).
-            const auto chunk = raw.subspan(consumed, want - consumed);
-            const auto normalized = normalizer.normalizeChunk(chunk);
-            result.normalizerCycles += 2 * chunk.size();
-
-            // Feed the array in at-most-numPes passes; every pass but
-            // the last of the entire read checkpoints its DP row.
-            std::size_t offset = 0;
-            while (offset < normalized.samples.size()) {
-                const std::size_t len = std::min(
-                    config_.numPes, normalized.samples.size() - offset);
-                const std::span<const NormSample> pass_query(
-                    normalized.samples.data() + offset, len);
-
-                const bool resume = !state.empty();
-                const bool more_passes_this_stage =
-                    offset + len < normalized.samples.size();
-                const bool checkpoint =
-                    more_passes_this_stage || !last_stage;
-
-                if (resume)
-                    result.dramBytesRead +=
-                        m * SystolicArray::kCheckpointBytesPerCell;
-
-                if (config_.cycleAccurate) {
-                    const auto pass =
-                        array_.run(pass_query, ref, &state, checkpoint);
-                    result.arrayCycles += pass.cycles;
-                    result.dramBytesWritten += pass.checkpointBytes;
-                    result.classification.cost = pass.cost;
-                    result.classification.refEnd = pass.refEnd;
-                } else {
-                    const auto pass = engine_.process(pass_query, ref,
-                                                      state);
-                    result.arrayCycles +=
-                        SystolicArray::passCycles(len, m);
-                    if (checkpoint) {
-                        result.dramBytesWritten +=
-                            m * SystolicArray::kCheckpointBytesPerCell;
-                    }
-                    result.classification.cost = pass.cost;
-                    result.classification.refEnd = pass.refEnd;
-                }
-                offset += len;
-            }
-            consumed = want;
-        }
-        result.classification.samplesUsed = consumed;
-        result.classification.stagesRun = s + 1;
-
-        // Same truncation scaling as the software classifier.
-        Cost threshold = stage.threshold;
-        if (truncated && stage.prefixSamples > 0) {
-            threshold = Cost(double(stage.threshold) * double(consumed) /
-                             double(stage.prefixSamples));
-        }
-        if (result.classification.cost > threshold) {
-            result.classification.keep = false;
-            break;
-        }
-        if (last_stage) {
-            result.classification.keep = true;
-            break;
-        }
-    }
-
-    result.cycles = result.normalizerCycles + result.arrayCycles;
+    result.classification = stream.result;
     result.latencySeconds =
         double(result.cycles) / (config_.clockGhz * 1e9);
     return result;

@@ -7,10 +7,11 @@
  * buffers, a reference buffer, the fixed-point normaliser, and a
  * 2000-PE systolic array.
  *
- * A tile classifies one read at a time.  Per stage chunk of L samples
- * it spends 2L cycles normalising (two passes: statistics, transform)
- * and L + M - 1 cycles on the array pass, and in multi-stage mode
- * writes/reads the M-entry checkpoint row to/from DRAM.
+ * A tile classifies one read at a time.  Functionally it is the
+ * software classifier's stream (the array runs the same quantised
+ * recurrence); each stage's fold is charged from hw::modelDecision:
+ * 2L normalise cycles, ceil(L/D) array passes, and the M-entry
+ * checkpoint row read from / written to DRAM in multi-stage mode.
  */
 
 #include <cstdint>
@@ -18,10 +19,8 @@
 #include <vector>
 
 #include "common/types.hpp"
-#include "hw/systolic.hpp"
 #include "pore/reference_squiggle.hpp"
 #include "sdtw/filter.hpp"
-#include "sdtw/normalizer.hpp"
 
 namespace sf::hw {
 
@@ -31,7 +30,6 @@ struct TileConfig
     std::size_t numPes = 2000;       //!< systolic array length
     double clockGhz = 2.5;           //!< synthesised clock
     std::size_t referenceBufferBytes = 100 * 1024; //!< per §5.1
-    bool cycleAccurate = false; //!< simulate PEs vs use the fast engine
 
     sdtw::SdtwConfig dp = sdtw::hardwareConfig();
 };
@@ -40,9 +38,7 @@ struct TileConfig
 struct TileResult
 {
     sdtw::Classification classification;
-    std::uint64_t cycles = 0;          //!< total tile-busy cycles
-    std::uint64_t normalizerCycles = 0;
-    std::uint64_t arrayCycles = 0;
+    std::uint64_t cycles = 0;           //!< total tile-busy cycles
     std::uint64_t dramBytesWritten = 0; //!< checkpoint traffic out
     std::uint64_t dramBytesRead = 0;    //!< checkpoint traffic in
     double latencySeconds = 0.0;        //!< cycles / clock
@@ -55,7 +51,8 @@ class Tile
     /**
      * Program the tile with a reference squiggle (hardware: loaded
      * from flash into the reference buffer during initialisation).
-     * Raises sf::FatalError when the reference exceeds the buffer.
+     * Raises sf::FatalError when the reference exceeds the buffer or
+     * the array cannot implement @p config.
      */
     Tile(const pore::ReferenceSquiggle &reference, TileConfig config);
 
@@ -66,7 +63,8 @@ class Tile
      * layered on top.
      */
     TileResult processRead(std::span<const RawSample> raw,
-                           const std::vector<sdtw::FilterStage> &stages);
+                           const std::vector<sdtw::FilterStage> &stages)
+        const;
 
     /** The tile configuration. */
     const TileConfig &config() const { return config_; }
@@ -84,8 +82,6 @@ class Tile
   private:
     const pore::ReferenceSquiggle &reference_;
     TileConfig config_;
-    SystolicArray array_;
-    sdtw::QuantSdtw engine_; //!< fast functional model of the array
 };
 
 } // namespace sf::hw

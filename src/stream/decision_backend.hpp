@@ -42,27 +42,12 @@ inline constexpr std::size_t kDecisionBackendKinds = 2;
 /** Stable lowercase name ("software", "asic") for logs and JSON. */
 const char *decisionBackendName(DecisionBackendKind kind);
 
-/** How the modelled array maps the DP matrix onto its PEs (§5.1). */
-enum class AsicDataflow {
-    /** Query samples pinned to PEs, reference streams through; a
-        query longer than the array runs multiple passes with an
-        inter-pass DP-row carry through DRAM. */
-    QueryStationary,
-    /** Reference tiled across the array, query streams through each
-        tile; a reference longer than the array walks ceil(M/D) tiles
-        with an inter-tile carry. */
-    ReferenceStationary,
-};
-
-/** Stable lowercase name ("query_stationary", ...). */
-const char *asicDataflowName(AsicDataflow dataflow);
-
-/** Design point of the modelled ASIC (paper Table 4 defaults). */
+/** Design point of the modelled query-stationary ASIC (paper §5.1,
+    Table 4 defaults). */
 struct AsicSpec
 {
     /** Physical PE count (array length), 2000 in the paper. */
     std::size_t arrayDim = 2000;
-    AsicDataflow dataflow = AsicDataflow::QueryStationary;
     /** Synthesised clock; Table 4 closes timing at 2.5 GHz. */
     double clockGhz = 2.5;
 
@@ -78,8 +63,8 @@ struct ModeledHwStats
 {
     std::uint64_t decisions = 0;  //!< decision requests modelled
     std::uint64_t cycles = 0;     //!< array cycles across all passes
-    std::uint64_t arrayPasses = 0; //!< passes/tiles walked
-    /** DRAM checkpoint traffic: inter-pass/tile carries plus the
+    std::uint64_t arrayPasses = 0; //!< array passes
+    /** DRAM checkpoint traffic: inter-pass carries plus the
         multi-stage resume/save rows (§4.6). */
     std::uint64_t checkpointBytes = 0;
     double modeledLatencyUsTotal = 0.0; //!< sum of per-decision model

@@ -30,18 +30,6 @@ decisionBackendName(DecisionBackendKind kind)
     panic("unknown DecisionBackendKind %d", int(kind));
 }
 
-const char *
-asicDataflowName(AsicDataflow dataflow)
-{
-    switch (dataflow) {
-    case AsicDataflow::QueryStationary:
-        return "query_stationary";
-    case AsicDataflow::ReferenceStationary:
-        return "reference_stationary";
-    }
-    panic("unknown AsicDataflow %d", int(dataflow));
-}
-
 SoftwareBackend::SoftwareBackend(const sdtw::SdtwConfig &config,
                                  std::size_t lane_capacity,
                                  bool lane_batching,

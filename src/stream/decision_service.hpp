@@ -260,7 +260,8 @@ class SoftwareBackend final : public DecisionBackend
  * Fatal unless the modelled hardware can run @p config on @p spec:
  * the absolute-difference metric without reference deletions (paper
  * §4.7), at least one PE and a positive clock.  Run by
- * hw::AsicBackend and by ReadUntilSession for an Asic session.
+ * hw::AsicBackend, hw::Tile and by ReadUntilSession for an Asic
+ * session.
  */
 void checkAsicImplementable(const AsicSpec &spec,
                             const sdtw::SdtwConfig &config);

@@ -1,13 +1,15 @@
 /**
  * @file
  * Tests for the hardware model: bit-exact equivalence between the
- * cycle-accurate systolic array and the software engine, tile/chip
- * behaviour, and the ASIC area/power/timing model against the paper's
- * published numbers.
+ * cycle-accurate systolic array and the software engine, the
+ * closed-form cycle model against that array, tile/chip behaviour,
+ * and the ASIC area/power/timing model against the paper's published
+ * numbers.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 
@@ -164,7 +166,8 @@ TEST(Systolic, CheckpointRowEqualsEngineRow)
     EXPECT_EQ(hw_state.row, engine_state.row);
     EXPECT_EQ(hw_state.dwell, engine_state.dwell);
     EXPECT_EQ(result.checkpointBytes,
-              ref.size() * SystolicArray::kCheckpointBytesPerCell);
+              ref.size() * kCheckpointBytesPerCell);
+    EXPECT_EQ(result.checkpointBytesRead, 0u); // fresh: nothing in
 }
 
 TEST(Systolic, RejectsUnsupportedConfigurations)
@@ -185,6 +188,78 @@ TEST(Systolic, RejectsOversizedQuery)
     const auto query = randomQuantSignal(9, rng);
     const auto ref = randomQuantSignal(16, rng);
     EXPECT_THROW(array.run(query, ref), FatalError);
+}
+
+// ---------------------------------------------------------------- //
+//     closed-form cycle model == event-level array (the oracle)     //
+// ---------------------------------------------------------------- //
+
+TEST(SystolicOracle, ModelMatchesEventLevelArrayOverRandomShapes)
+{
+    // modelDecision is the only place src/ computes the array's timing
+    // and checkpoint traffic; the event-level array checks it.  Fold L
+    // rows as the chip does -- passes of at most D rows chained
+    // through the checkpoint row -- and count what the simulation did.
+    Rng rng(0x0a11ce);
+    const sdtw::SdtwConfig config = sdtw::hardwareConfig();
+    const sdtw::QuantSdtw engine(config);
+    std::size_t multi_pass = 0;
+    for (int trial = 0; trial < 240; ++trial) {
+        const bool resumed = (trial & 1) != 0;
+        const bool last_fold = (trial & 2) != 0;
+        const auto d = std::size_t(rng.uniformInt(1, 16));
+        const auto l = std::size_t(rng.uniformInt(1, std::int64_t(3 * d)));
+        const auto m = std::size_t(rng.uniformInt(1, 64));
+        const auto ref = randomQuantSignal(m, rng);
+        const auto query = randomQuantSignal(l, rng);
+
+        // A resumed fold continues an earlier fold's checkpoint row.
+        sdtw::QuantSdtw::State want_state;
+        if (resumed) {
+            const auto earlier = randomQuantSignal(
+                std::size_t(rng.uniformInt(1, 8)), rng);
+            engine.process(earlier, ref, want_state);
+        }
+        sdtw::QuantSdtw::State hw_state = want_state;
+        const auto want = engine.process(query, ref, want_state);
+
+        SystolicArray array(d, config);
+        SystolicResult pass;
+        std::uint64_t cycles = 2 * l; // normaliser: stats + transform
+        std::uint64_t passes = 0;
+        std::uint64_t bytes_read = 0;
+        std::uint64_t bytes_written = 0;
+        for (std::size_t offset = 0; offset < l; offset += d) {
+            const std::size_t len = std::min(d, l - offset);
+            const bool more = offset + len < l;
+            pass = array.run(
+                std::span<const NormSample>(query).subspan(offset, len),
+                ref, &hw_state, more || !last_fold);
+            cycles += pass.cycles;
+            passes += 1;
+            bytes_read += pass.checkpointBytesRead;
+            bytes_written += pass.checkpointBytes;
+        }
+        multi_pass += passes > 1 ? 1 : 0;
+
+        const AsicDecisionModel model =
+            modelDecision(d, l, m, resumed, last_fold);
+        SCOPED_TRACE("L=" + std::to_string(l) + " M=" +
+                     std::to_string(m) + " D=" + std::to_string(d) +
+                     " resumed=" + std::to_string(resumed) +
+                     " last=" + std::to_string(last_fold));
+        EXPECT_EQ(model.cycles, cycles);
+        EXPECT_EQ(model.passes, passes);
+        EXPECT_EQ(model.dramBytesRead, bytes_read);
+        EXPECT_EQ(model.dramBytesWritten, bytes_written);
+        EXPECT_EQ(pass.cost, want.cost);
+        EXPECT_EQ(pass.refEnd, want.refEnd);
+        if (!last_fold) {
+            EXPECT_EQ(hw_state.row, want_state.row);
+            EXPECT_EQ(hw_state.dwell, want_state.dwell);
+        }
+    }
+    EXPECT_GT(multi_pass, 60u);
 }
 
 // ---------------------------------------------------------------- //
@@ -224,52 +299,61 @@ class TileTest : public ::testing::Test
 
 TEST_F(TileTest, FunctionalTileMatchesSoftwareClassifier)
 {
-    sdtw::SquiggleFilterClassifier classifier(reference_);
-    classifier.setSingleStage(2000, 60000);
+    const auto data = makeData(8, 83);
 
-    TileConfig config;
-    config.cycleAccurate = false;
-    Tile tile(reference_, config);
+    // Thresholds sit at each prefix's median cost so every schedule
+    // both ejects and keeps reads.
+    const sdtw::SquiggleFilterClassifier scorer(reference_);
+    const auto median = [&](std::size_t prefix) {
+        std::vector<Cost> costs;
+        for (const auto &read : data.reads)
+            costs.push_back(scorer.score(read.raw, prefix).cost);
+        std::nth_element(costs.begin(), costs.begin() + 4, costs.end());
+        return costs[4];
+    };
+    // Single-stage, multi-stage (early ejects, final keeps) and
+    // stages longer than the 2000-PE array (multi-pass folds).
+    const std::vector<std::vector<sdtw::FilterStage>> schedules{
+        {{2000, median(2000)}},
+        {{1000, 2 * median(1000)}, {2000, median(2000)}},
+        {{500, kCostMax - 1}, {1500, median(1500)}, {4500, median(4500)}},
+        {{3000, median(3000)}, {6000, kCostMax - 1}},
+        sdtw::uniformStageSchedule(800, 5, median(2000)),
+    };
 
-    const auto data = makeData(12, 83);
-    for (const auto &read : data.reads) {
-        const auto sw = classifier.classify(read.raw);
-        const auto hw = tile.processRead(read.raw,
-                                         classifier.stages());
-        EXPECT_EQ(hw.classification.keep, sw.keep);
-        EXPECT_EQ(hw.classification.cost, sw.cost);
-        EXPECT_EQ(hw.classification.refEnd, sw.refEnd);
-        EXPECT_EQ(hw.classification.samplesUsed, sw.samplesUsed);
+    Tile tile(reference_, TileConfig{});
+
+    std::size_t kept = 0;
+    std::size_t ejected = 0;
+    for (const auto &stages : schedules) {
+        sdtw::SquiggleFilterClassifier classifier(reference_);
+        classifier.setStages(stages);
+        for (const auto &read : data.reads) {
+            // The full read, plus prefixes that end inside a stage
+            // (truncated, scaled threshold) and on a stage boundary.
+            for (std::size_t len : {read.raw.size(), std::size_t(1700),
+                                    std::size_t(1000)}) {
+                const std::span<const RawSample> raw =
+                    std::span<const RawSample>(read.raw).first(
+                        std::min(len, read.raw.size()));
+                const auto sw = classifier.classify(raw);
+                const auto hw = tile.processRead(raw, stages);
+                EXPECT_EQ(hw.classification.keep, sw.keep);
+                EXPECT_EQ(hw.classification.cost, sw.cost);
+                EXPECT_EQ(hw.classification.refEnd, sw.refEnd);
+                EXPECT_EQ(hw.classification.samplesUsed, sw.samplesUsed);
+                EXPECT_EQ(hw.classification.stagesRun, sw.stagesRun);
+                ++(sw.keep ? kept : ejected);
+            }
+        }
     }
-}
-
-TEST_F(TileTest, CycleAccurateTileMatchesFunctionalTile)
-{
-    TileConfig fast;
-    fast.cycleAccurate = false;
-    TileConfig exact;
-    exact.cycleAccurate = true;
-    Tile fast_tile(reference_, fast);
-    Tile exact_tile(reference_, exact);
-
-    const std::vector<sdtw::FilterStage> stages{{1000, 40000},
-                                                {2000, 30000}};
-    const auto data = makeData(4, 84);
-    for (const auto &read : data.reads) {
-        const auto a = fast_tile.processRead(read.raw, stages);
-        const auto b = exact_tile.processRead(read.raw, stages);
-        EXPECT_EQ(a.classification.keep, b.classification.keep);
-        EXPECT_EQ(a.classification.cost, b.classification.cost);
-        EXPECT_EQ(a.cycles, b.cycles);
-        EXPECT_EQ(a.dramBytesWritten, b.dramBytesWritten);
-    }
+    EXPECT_GT(kept, 0u);
+    EXPECT_GT(ejected, 0u);
 }
 
 TEST_F(TileTest, CycleCountMatchesPaperFormula)
 {
-    TileConfig config;
-    config.cycleAccurate = false;
-    Tile tile(reference_, config);
+    Tile tile(reference_, TileConfig{});
 
     const auto data = makeData(6, 85);
     for (const auto &read : data.reads) {
@@ -279,7 +363,9 @@ TEST_F(TileTest, CycleCountMatchesPaperFormula)
             tile.processRead(read.raw, {{2000, kCostMax}});
         // 2L normalise + L + M - 1 array pass.
         EXPECT_EQ(result.cycles,
-                  AsicModel::classifyCycles(2000, reference_.size()));
+                  2 * 2000 + 2000 + reference_.size() - 1);
+        EXPECT_EQ(result.cycles,
+                  AsicModel().classifyCycles(2000, reference_.size()));
         EXPECT_EQ(result.dramBytesWritten, 0u);
         EXPECT_EQ(result.dramBytesRead, 0u);
     }
@@ -287,9 +373,7 @@ TEST_F(TileTest, CycleCountMatchesPaperFormula)
 
 TEST_F(TileTest, MultiStageGeneratesDramTraffic)
 {
-    TileConfig config;
-    config.cycleAccurate = false;
-    Tile tile(reference_, config);
+    Tile tile(reference_, TileConfig{});
 
     const auto data = makeData(8, 86);
     const std::vector<sdtw::FilterStage> stages{{1000, kCostMax - 1},
@@ -302,8 +386,7 @@ TEST_F(TileTest, MultiStageGeneratesDramTraffic)
         if (result.classification.stagesRun == 2) {
             saw_two_stages = true;
             EXPECT_EQ(result.dramBytesWritten,
-                      reference_.size() *
-                          SystolicArray::kCheckpointBytesPerCell);
+                      reference_.size() * kCheckpointBytesPerCell);
             EXPECT_EQ(result.dramBytesRead, result.dramBytesWritten);
         }
     }
@@ -402,10 +485,10 @@ TEST(AsicModel, LatencyMatchesPaperSection71)
     const pore::ReferenceSquiggle lambda(genome::makeLambdaPhage(),
                                          model());
     // Paper: 0.027 ms for SARS-CoV-2, 0.043 ms for lambda phage.
-    EXPECT_NEAR(AsicModel::classifyLatencyMs(2000, sars.size()), 0.027,
-                0.003);
-    EXPECT_NEAR(AsicModel::classifyLatencyMs(2000, lambda.size()),
-                0.043, 0.004);
+    const AsicModel asic(2000, 5);
+    EXPECT_NEAR(asic.classifyLatencyMs(2000, sars.size()), 0.027, 0.003);
+    EXPECT_NEAR(asic.classifyLatencyMs(2000, lambda.size()), 0.043,
+                0.004);
 }
 
 TEST(AsicModel, ThroughputMatchesPaperSection71)
@@ -415,14 +498,14 @@ TEST(AsicModel, ThroughputMatchesPaperSection71)
                                          model());
     // Paper: 74.63 M (SARS-CoV-2) and 46.73 M (lambda) samples/s per
     // tile; 233.65 M samples/s for the 5-tile chip on lambda.
+    const AsicModel asic(2000, 5);
     const double sars_tile =
-        AsicModel::tileThroughputSamplesPerSec(2000, sars.size());
+        asic.tileThroughputSamplesPerSec(2000, sars.size());
     const double lambda_tile =
-        AsicModel::tileThroughputSamplesPerSec(2000, lambda.size());
+        asic.tileThroughputSamplesPerSec(2000, lambda.size());
     EXPECT_NEAR(sars_tile / 1e6, 74.63, 4.0);
     EXPECT_NEAR(lambda_tile / 1e6, 46.73, 4.0);
 
-    const AsicModel asic(2000, 5);
     EXPECT_NEAR(
         asic.chipThroughputSamplesPerSec(2000, lambda.size(), 5) / 1e6,
         233.65, 20.0);
@@ -470,13 +553,13 @@ TEST(AsicBackendModel, SinglePassQueryStationaryMeetsPaperBudget)
     // One 0.4 s chunk (1600 samples at 4 kHz) against the ~97k-sample
     // SARS-CoV-2 reference on the Table 4 design point: 2L normalise
     // + one (L + M - 1)-cycle pass, inside the paper's 43 us budget.
-    stream::AsicSpec spec; // D = 2000, QS, 2.5 GHz
-    const auto m = modelDecision(spec, 1600, 97000,
+    const stream::AsicSpec spec; // D = 2000, 2.5 GHz
+    const auto m = modelDecision(spec.arrayDim, 1600, 97000,
                                  /*resumed=*/false,
-                                 /*checkpointed=*/false);
+                                 /*last_fold=*/true);
     EXPECT_EQ(m.passes, 1u);
     EXPECT_EQ(m.cycles, 2 * 1600 + 1600 + (97000 - 1));
-    EXPECT_EQ(m.checkpointBytes, 0u);
+    EXPECT_EQ(m.checkpointBytes(), 0u);
     const double us = double(m.cycles) / (spec.clockGhz * 1e3);
     EXPECT_LT(us, 43.0);
     EXPECT_GT(us, 35.0);
@@ -484,52 +567,81 @@ TEST(AsicBackendModel, SinglePassQueryStationaryMeetsPaperBudget)
 
 TEST(AsicBackendModel, QueryLongerThanArrayTakesMultiplePasses)
 {
-    stream::AsicSpec spec;
-    spec.arrayDim = 2000;
-    const auto m = modelDecision(spec, 4500, 10000, false, false);
+    const auto m = modelDecision(2000, 4500, 10000, false, true);
     EXPECT_EQ(m.passes, 3u); // ceil(4500 / 2000)
     EXPECT_EQ(m.cycles, 2 * 4500 + 4500 + 3 * (10000 - 1));
     // The 10000-cell DP row round-trips DRAM between passes.
-    EXPECT_EQ(m.checkpointBytes,
-              2u * 2 * 10000 * SystolicArray::kCheckpointBytesPerCell);
-}
-
-TEST(AsicBackendModel, ReferenceStationaryTilesLongReferences)
-{
-    stream::AsicSpec spec;
-    spec.arrayDim = 2000;
-    spec.dataflow = stream::AsicDataflow::ReferenceStationary;
-    const auto m = modelDecision(spec, 1600, 97000, false, false);
-    EXPECT_EQ(m.passes, 49u); // ceil(97000 / 2000)
-    EXPECT_EQ(m.cycles, 2 * 1600 + 49 * 1600 + 97000 - 49);
-    EXPECT_EQ(m.checkpointBytes,
-              48u * 2 * 1600 * SystolicArray::kCheckpointBytesPerCell);
-
-    // An array covering the whole reference needs exactly one tile
-    // and no inter-tile carry.
-    spec.arrayDim = 100000;
-    const auto one = modelDecision(spec, 1600, 97000, false, false);
-    EXPECT_EQ(one.passes, 1u);
-    EXPECT_EQ(one.checkpointBytes, 0u);
+    EXPECT_EQ(m.dramBytesWritten, 2u * 10000 * kCheckpointBytesPerCell);
+    EXPECT_EQ(m.dramBytesRead, m.dramBytesWritten);
 }
 
 TEST(AsicBackendModel, MultiStageCheckpointTrafficAndZeroWork)
 {
-    stream::AsicSpec spec;
     // A chunk that crossed no stage boundary folds nothing and costs
     // no modelled cycles.
-    const auto idle = modelDecision(spec, 0, 97000, true, true);
+    const auto idle = modelDecision(2000, 0, 97000, true, false);
     EXPECT_EQ(idle.cycles, 0u);
-    EXPECT_EQ(idle.checkpointBytes, 0u);
+    EXPECT_EQ(idle.checkpointBytes(), 0u);
 
-    // Resume reads the saved M-cell row; an undecided stream writes
-    // it back (paper §4.6).
-    const auto fresh = modelDecision(spec, 1600, 97000, false, false);
-    const auto mid = modelDecision(spec, 1600, 97000, true, true);
+    // Resume reads the saved M-cell row; a fold that is not the
+    // read's last writes it back (paper §4.6).
+    const auto fresh = modelDecision(2000, 1600, 97000, false, true);
+    const auto mid = modelDecision(2000, 1600, 97000, true, false);
+    EXPECT_EQ(fresh.checkpointBytes(), 0u);
     EXPECT_EQ(mid.cycles, fresh.cycles);
-    EXPECT_EQ(mid.checkpointBytes,
-              fresh.checkpointBytes +
-                  2u * 97000 * SystolicArray::kCheckpointBytesPerCell);
+    EXPECT_EQ(mid.dramBytesRead, 97000u * kCheckpointBytesPerCell);
+    EXPECT_EQ(mid.dramBytesWritten, 97000u * kCheckpointBytesPerCell);
+}
+
+TEST(AsicBackendModel, NonFinalEjectWritesItsRowBack)
+{
+    // A pass streams its DP row out to DRAM before the row's minimum
+    // decides the read, so an eject at a non-final stage is charged
+    // the M-cell write-back; the read's last fold is not.
+    constexpr std::size_t kChunk = 1600;
+    const pore::ReferenceSquiggle &reference =
+        pipeline::streamVirusSquiggle();
+    sdtw::SquiggleFilterClassifier ejects_early(reference);
+    ejects_early.setStages({{kChunk, 0}, {2 * kChunk, kCostMax}});
+    sdtw::SquiggleFilterClassifier keeps_at_end(reference);
+    keeps_at_end.setSingleStage(kChunk, kCostMax);
+
+    AsicBackend backend(stream::AsicSpec{}, sdtw::hardwareConfig(), 16,
+                        /*lane_batching=*/true);
+    const auto &raw =
+        pipeline::makeStreamDataset(2, 0.5, 91).reads.front().raw;
+    ASSERT_GE(raw.size(), kChunk);
+    std::vector<sdtw::ClassifierStream> streams{
+        ejects_early.beginStream(), keeps_at_end.beginStream()};
+    stream::CompletionBoard board(2);
+    std::vector<stream::DecisionRequest> batch;
+    for (std::uint32_t i = 0; i < 2; ++i) {
+        stream::DecisionRequest req;
+        req.stream = &streams[i];
+        req.classifier = i == 0 ? &ejects_early : &keeps_at_end;
+        req.samples.assign(raw.begin(),
+                           raw.begin() + std::ptrdiff_t(kChunk));
+        req.board = &board;
+        req.slot = i;
+        req.sessionId = i;
+        req.backend = stream::DecisionBackendKind::Asic;
+        req.enqueued = std::chrono::steady_clock::now();
+        board.markPending(i);
+        batch.push_back(std::move(req));
+    }
+    backend.fold(batch);
+
+    ASSERT_TRUE(streams[0].decided);
+    EXPECT_FALSE(streams[0].result.keep);
+    EXPECT_EQ(streams[0].result.stagesRun, 1u);
+    EXPECT_EQ(backend.modeledStats(0).checkpointBytes,
+              reference.size() * kCheckpointBytesPerCell);
+
+    ASSERT_TRUE(streams[1].decided);
+    EXPECT_TRUE(streams[1].result.keep);
+    EXPECT_EQ(backend.modeledStats(1).checkpointBytes, 0u);
+    EXPECT_EQ(backend.modeledStats(0).cycles,
+              backend.modeledStats(1).cycles);
 }
 
 TEST(AsicBackendModel, BackendRejectsUnimplementableConfigs)
@@ -828,17 +940,17 @@ TEST_F(BackendParityTest, FleetRejectsAsicSpecDisagreement)
 {
     fleet::FleetOrchestrator fleet(fleet::FleetConfig{});
     fleet::SessionSpec a;
-    a.name = "qs";
+    a.name = "d2000";
     a.classifier = &classifier();
     a.config = sessionConfig(0, stream::DecisionBackendKind::Asic);
     a.reads = sessionReads(0).reads;
     fleet.addSession(std::move(a));
 
     fleet::SessionSpec b;
-    b.name = "rs";
+    b.name = "d1000";
     b.classifier = &classifier();
     b.config = sessionConfig(1, stream::DecisionBackendKind::Asic);
-    b.config.asic.dataflow = stream::AsicDataflow::ReferenceStationary;
+    b.config.asic.arrayDim = 1000;
     b.reads = sessionReads(1).reads;
     EXPECT_THROW(fleet.addSession(std::move(b)), FatalError);
 }
