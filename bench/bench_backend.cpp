@@ -20,7 +20,7 @@
  *   SF_BACKEND_CHANNELS  pores per session            (default 32)
  *   SF_BACKEND_WORKERS   worker threads per session   (default 2)
  *
- * Emits one BENCH_BACKEND_JSON line consumed by scripts/bench_gate.sh
+ * Emits one BENCH_BACKEND_JSON line consumed by scripts/bench_gate.py
  * and tracked in BENCH_stream.json under "backend".
  */
 
@@ -189,7 +189,7 @@ main()
                 software.stats.latency.p50us,
                 logs_match ? "bit-identical" : "DIVERGED");
 
-    // Machine-readable line consumed by scripts/bench_gate.sh.
+    // Machine-readable line consumed by scripts/bench_gate.py.
     std::string sweep_json = "[";
     for (std::size_t i = 0; i < sweep.size(); ++i) {
         const AsicRow &row = sweep[i];

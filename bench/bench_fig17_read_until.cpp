@@ -132,7 +132,7 @@ runStreamingSection(std::size_t per_class)
                 "re-aligning each decision's full prefix (target: "
                 ">= 5x).\n",
                 s.dpWorkRatio());
-    // Machine-readable line consumed by scripts/bench_gate.sh.
+    // Machine-readable line consumed by scripts/bench_gate.py.
     std::printf("BENCH_STREAM_JSON {\"chunks_per_s\": %.1f, "
                 "\"p50_us\": %.1f, \"p99_us\": %.1f, "
                 "\"dp_work_ratio\": %.2f, \"enrichment\": %.3f, "

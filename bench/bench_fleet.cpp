@@ -5,7 +5,7 @@
  * one at a time, each with a pool of its own.
  *
  * The point under measurement is cross-session SIMD lane folding.  A
- * half-loaded flowcell (4 channels here) never has enough concurrent
+ * half-loaded flowcell (8 channels here) never has enough concurrent
  * decision requests to reach the lane kernel's serial cutover, so an
  * isolated session folds every dispatch through the scalar engine.
  * The shared pool sees all sessions' requests in one queue, and one
@@ -14,12 +14,12 @@
  * throughput moves.
  *
  * Environment knobs (documented in the README):
- *   SF_FLEET_SESSIONS    fleet size (default 4)
+ *   SF_FLEET_SESSIONS    fleet size (default 8)
  *   SF_FLEET_WORKERS     shared-pool worker threads (default 1, same
  *                        for the isolated control runs)
  *   SF_FLEET_LANE_BATCH  0 = serial per-request fold path (A/B)
  *
- * Emits one BENCH_FLEET_JSON line consumed by scripts/bench_gate.sh
+ * Emits one BENCH_FLEET_JSON line consumed by scripts/bench_gate.py
  * and tracked in BENCH_fleet.json.
  */
 
@@ -238,7 +238,7 @@ main()
                 "isolated sessions (lane occupancy %.3f -> %.3f).\n",
                 fold_speedup, isolated_occ, snap.laneOccupancy);
 
-    // Machine-readable line consumed by scripts/bench_gate.sh.
+    // Machine-readable line consumed by scripts/bench_gate.py.
     std::printf("BENCH_FLEET_JSON {\"sessions\": %zu, \"workers\": %u, "
                 "\"chunks_per_s\": %.2f, \"wall_s\": %.2f, "
                 "\"lane_occupancy\": %.4f, \"mean_batch\": %.2f, "

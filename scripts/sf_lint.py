@@ -78,8 +78,12 @@ Nine rules, each encoding a correctness contract of this codebase:
                            README.md or docs/OPERATIONS.md (the knob
                            reference table), so no behaviour switch
                            exists only in the code.  Wrapper reads
-                           (envSize("SF_..."), getenv("SF_..."))
-                           count as reads.
+                           (envSize("SF_..."), getenv("SF_...")),
+                           ${SF_...} in scripts/*.sh and any
+                           environment read by name in scripts/*.py
+                           (os.getenv, os.environ.get, os.environ[])
+                           count as reads; a Python script must not
+                           read even a non-SF_ variable undocumented.
 
   env-knob-strict-parse    Every knob read goes through the strict
                            helpers in src/common/env.{hpp,cpp}
@@ -482,6 +486,8 @@ def rule_tiling_containment(root: Path, findings: List[Finding]):
 # anyway, so the over-match only ever demands real documentation.
 GETENV_RE = re.compile(r'\w*[Ee]nv\w*\(\s*"(SF_[A-Z0-9_]+)"')
 SHELL_ENV_RE = re.compile(r"\$\{(SF_[A-Z0-9_]+)")
+PY_ENV_RE = re.compile(
+    r"os\.(?:getenv\(|environ\.get\(|environ\[)\s*['\"]([A-Za-z0-9_]+)")
 
 KNOB_DOC_FILES = ("README.md", "docs/OPERATIONS.md")
 
@@ -501,9 +507,10 @@ def rule_env_knob_docs(root: Path, findings: List[Finding]):
                     m.group(1),
                     f"{path.relative_to(root).as_posix()}:"
                     f"{line_of(text, m.start())}")
-    for path in sorted((root / "scripts").glob("*.sh")):
+    for path in sorted((root / "scripts").glob("*.[ps][yh]")):
         text = path.read_text()
-        for m in SHELL_ENV_RE.finditer(text):
+        pattern = PY_ENV_RE if path.suffix == ".py" else SHELL_ENV_RE
+        for m in pattern.finditer(text):
             knobs.setdefault(
                 m.group(1),
                 f"{path.relative_to(root).as_posix()}:"
