@@ -34,6 +34,12 @@ a metric stands for that backend.  Every check runs; a bench that prints no
 record, or a metric missing from it, fails.  The exit status is 1 if any
 check failed.  The per-check table is written to build/bench_gate/summary.md
 next to each run's raw output and median record.
+
+Each bench call also records the host's steal share over its lifetime
+(the change in the steal field of the "cpu" line of /proc/stat over the
+change in all its time fields; null when /proc/stat is unreadable).  A
+noisy neighbour shows up there, so the per-run JSON and an info line of
+summary.md carry it; it is never gated and never recorded as a baseline.
 """
 
 import argparse
@@ -95,6 +101,23 @@ def fingerprint():
             "compiler": f"{cxx.get('ID', '')} {cxx.get('VERSION', '')}"}
 
 
+def cpu_times(stat):
+    """user..steal jiffies from the "cpu" line of /proc/stat text (guest
+    time is already counted in user), or None if there is no such line."""
+    line = next((l for l in stat.splitlines() if l.startswith("cpu ")), "")
+    fields = line.split()[1:9]
+    return [int(f) for f in fields] if len(fields) == 8 and all(
+        f.isdigit() for f in fields) else None
+
+
+def steal_frac(before, after):
+    """Steal share of the host's cpu time between two cpu_times()."""
+    if before is None or after is None:
+        return None
+    total = sum(after) - sum(before)
+    return round((after[7] - before[7]) / total, 4) if total > 0 else None
+
+
 # ---- records -------------------------------------------------------- #
 
 def lookup(record, path):
@@ -154,17 +177,20 @@ def variants(run):
 
 def call(run, env, log_path):
     """The records one bench call prints (one per repetition for
-    google-benchmark), and what went wrong with it, if anything."""
+    google-benchmark), what went wrong with it, if anything, and the
+    host's steal share while it ran."""
     tag, repeats = run.get("tag"), run["repeats"]
     cmd = [str(BUILD / run["bench"]), *run.get("args", [])] + (
         [] if tag else ["--benchmark_format=json",
                         f"--benchmark_repetitions={repeats}"])
     child = {k: v for k, v in os.environ.items() if not k.startswith("SF_")}
+    before = cpu_times(read("/proc/stat"))
     try:
         out = subprocess.run(cmd, cwd=ROOT, env={**child, **env}, text=True,
                              capture_output=True, timeout=900)
     except (OSError, subprocess.TimeoutExpired) as e:
-        return [], f"{run['bench']}: {e}"
+        return [], f"{run['bench']}: {e}", None
+    steal = steal_frac(before, cpu_times(read("/proc/stat")))
     with open(log_path, "a") as log:
         log.write(out.stdout + out.stderr)
     records = []
@@ -189,21 +215,25 @@ def call(run, env, log_path):
         records = [r for r in reps if r]
     if out.returncode or not records:
         return records, f"{run['bench']}: exit {out.returncode}" + (
-            "" if records else f", no {tag or 'JSON'} record")
-    return records, None
+            "" if records else f", no {tag or 'JSON'} record"), steal
+    return records, None, steal
 
 
 def measure(run, name):
-    """{record key: per-repeat records} of one run, and its errors.  The
-    variants take turns, so a burst of noise on the host hits them all."""
+    """{record key: per-repeat records} of one run, its errors and
+    {record key: steal share of each call}.  The variants take turns, so
+    a burst of noise on the host hits them all."""
     keys = variants(run)
     samples, errors = {key: [] for key, _ in keys}, []
+    steals = {key: [] for key, _ in keys}
     for _ in range(run["repeats"] if "tag" in run else 1):
         for key, env in keys:
-            records, error = call(run, env, REPORT / f"{name}.{key}.log")
+            records, error, steal = call(run, env,
+                                         REPORT / f"{name}.{key}.log")
             samples[key] += records
+            steals[key].append(steal)
             errors += [error] if error else []
-    return samples, errors
+    return samples, errors, steals
 
 
 # ---- checking ------------------------------------------------------- #
@@ -295,14 +325,17 @@ def gate(record):
             built = subprocess.run(
                 ["cmake", "--build", str(BUILD), "-j", "--target",
                  run["bench"]], stdout=subprocess.DEVNULL).returncode == 0
-            samples, errors = measure(run, file[:-5]) if built else (
+            samples, errors, steals = measure(run, file[:-5]) if built else (
                 {key: [] for key, _ in variants(run)},
-                [f"{run['bench']}: build failed"])
+                [f"{run['bench']}: build failed"], {})
             results += [("FAIL", f"{file} run", e) for e in errors]
+            results += [("info", f"{file} {key}: host steal_frac",
+                         steal_detail(s)) for key, s in steals.items()]
             for key, got in samples.items():
                 measured[key] = (aggregate(got) if got else None, got)
                 (REPORT / f"{file[:-5]}.{key}.json").write_text(dump(
-                    {"median": measured[key][0], "samples": got}) + "\n")
+                    {"median": measured[key][0], "samples": got,
+                     "steal_frac": steals.get(key, [])}) + "\n")
                 if record and got:
                     store(doc, key, measured[key][0])
                     doc.setdefault("iqr", {}).update(
@@ -314,6 +347,12 @@ def gate(record):
         results += [(s, f"{file} {n}", d)
                     for s, n, d in evaluate(doc, measured, host)]
     return report(results, REPORT / "summary.md")
+
+
+def steal_detail(steals):
+    """One run's per-call steal shares for the summary."""
+    return ", ".join("unreadable" if s is None else f"{s:.2%}"
+                     for s in steals)
 
 
 def report(results, path=None):
@@ -388,6 +427,17 @@ def self_test():
                                            {"a": 5, "b": False},
                                            {"a": 2, "b": True}]),
            {"a": 2, "b": False})
+    # 1000 jiffies pass, 150 of them stolen; guest time is not recounted.
+    before = ("cpu  100 0 50 800 10 0 0 40 7 0\n"
+              "cpu0 100 0 50 800 10 0 0 40 7 0\nintr 1 2\n")
+    after = "cpu  200 0 100 1500 10 0 0 190 99 0\nintr 3 4\n"
+    expect("steal share", steal_frac(cpu_times(before), cpu_times(after)),
+           0.15)
+    expect("steal, unreadable /proc/stat",
+           steal_frac(cpu_times(""), cpu_times(after)), None)
+    expect("steal, no time passed",
+           steal_frac(cpu_times(after), cpu_times(after)), None)
+    expect("steal detail", steal_detail([0.15, None]), "15.00%, unreadable")
     print("\n".join(failures) or f"bench gate self-test: {n} check kinds ok")
     return 1 if failures else 0
 

@@ -66,12 +66,12 @@ Nine rules, each encoding a correctness contract of this codebase:
                            and src/common/ — stream/fleet/pipeline
                            code must not grow per-call-site tile
                            knowledge; they see one kernel API.
-                           Likewise CPU-affinity syscalls
-                           (pthread_setaffinity_np, sched_setaffinity,
-                           cpu_set_t) live only in
-                           src/common/topology.* — every other layer
-                           pins through topo::pinThreadToCpu so the
-                           graceful-no-op fallback stays in one place.
+                           CPU-affinity calls (pthread_setaffinity_np,
+                           sched_setaffinity, cpu_set_t, CPU_SET) are
+                           forbidden everywhere in src/: worker
+                           threads run where the OS schedules them,
+                           and thread placement is not a mechanism
+                           this tree keeps.
 
   env-knob-docs            Every SF_* environment knob read anywhere
                            in the tree must be documented in
@@ -439,11 +439,6 @@ TILING_ALLOWED_DIRS = ("src/sdtw/", "src/common/")
 
 TILING_TOKENS = re.compile(r"SF_SDTW_TILE_COLS|[Tt]ileCols|tile_cols")
 
-AFFINITY_ALLOWED_FILES = (
-    "src/common/topology.hpp",
-    "src/common/topology.cpp",
-)
-
 AFFINITY_TOKENS = re.compile(
     r"pthread_setaffinity\w*|sched_setaffinity|cpu_set_t|"
     r"CPU_ZERO\b|CPU_SET\b")
@@ -464,15 +459,12 @@ def rule_tiling_containment(root: Path, findings: List[Finding]):
                             "outside src/sdtw//src/common/; layers "
                             "above the kernel must not carry "
                             "per-call-site tile knowledge"))
-        if rel not in AFFINITY_ALLOWED_FILES:
-            for m in AFFINITY_TOKENS.finditer(text):
-                findings.append(
-                    Finding(rule, f"{rel}:{line_of(text, m.start())}",
-                            f"raw affinity token '{m.group(0)}' "
-                            "outside src/common/topology.*; pin "
-                            "through topo::pinThreadToCpu so the "
-                            "unsupported-host fallback stays in one "
-                            "place"))
+        for m in AFFINITY_TOKENS.finditer(text):
+            findings.append(
+                Finding(rule, f"{rel}:{line_of(text, m.start())}",
+                        f"affinity token '{m.group(0)}' in src/; "
+                        "worker threads are not pinned, so no layer "
+                        "sets thread placement"))
 
 
 # ------------------------------------------------------------------ #

@@ -21,6 +21,14 @@ requireFullParse(const char *name, const char *value, const char *end)
               name, value);
 }
 
+/** strtoull skips leading whitespace and accepts a sign (" -1" wraps
+    to 2^64-1), so an unsigned value must start with its first digit. */
+bool
+startsWithDigit(const char *s)
+{
+    return *s >= '0' && *s <= '9';
+}
+
 } // namespace
 
 const char *
@@ -35,8 +43,10 @@ envSize(const char *name, std::size_t fallback)
     const char *v = std::getenv(name);
     if (v == nullptr)
         return fallback;
-    if (*v == '-')
-        fatal("env knob %s=\"%s\" must be non-negative", name, v);
+    if (!startsWithDigit(v))
+        fatal("env knob %s=\"%s\" must be a non-negative decimal "
+              "integer (no sign or leading whitespace)",
+              name, v);
     errno = 0;
     char *end = nullptr;
     const unsigned long long parsed = std::strtoull(v, &end, 10);
@@ -93,8 +103,8 @@ envUnsignedCsv(const char *name, std::vector<unsigned> fallback)
         char *end = nullptr;
         const unsigned long long parsed =
             std::strtoull(tok.c_str(), &end, 10);
-        if (end == tok.c_str() || *end != '\0' || errno == ERANGE ||
-            parsed == 0 || parsed > 0xffffffffull)
+        if (!startsWithDigit(tok.c_str()) || *end != '\0' ||
+            errno == ERANGE || parsed == 0 || parsed > 0xffffffffull)
             fatal("env knob %s=\"%s\" must be a comma-separated list "
                   "of positive integers (bad element \"%s\")",
                   name, v, tok.c_str());

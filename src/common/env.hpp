@@ -27,7 +27,8 @@ namespace sf {
  */
 const char *envString(const char *name);
 
-/** Non-negative integer knob; fatal unless the whole value parses. */
+/** Non-negative decimal integer knob; fatal unless the whole value
+    parses and starts with a digit (no sign, no leading whitespace). */
 std::size_t envSize(const char *name, std::size_t fallback);
 
 /** Finite floating-point knob; fatal unless the whole value parses. */
@@ -38,7 +39,8 @@ bool envFlag(const char *name, bool fallback);
 
 /**
  * Comma-separated list of positive integers ("1,4,8"); fatal on an
- * empty list, a malformed or zero element, or trailing garbage.
+ * empty list, a malformed or zero element, an element that does not
+ * start with a digit (sign or whitespace), or trailing garbage.
  */
 std::vector<unsigned> envUnsignedCsv(const char *name,
                                      std::vector<unsigned> fallback);

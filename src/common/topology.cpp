@@ -2,22 +2,17 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
-#include <thread>
 
 #if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
 #include <unistd.h>
 #endif
-
-#include <algorithm>
 
 namespace sf::topo {
 
 namespace {
 
+#if defined(__linux__)
 /** Read a small sysfs text file; empty string when unreadable. */
 std::string
 readSysFile(const char *path)
@@ -31,41 +26,7 @@ readSysFile(const char *path)
     buf[n] = '\0';
     return std::string(buf);
 }
-
-CpuTopology
-probeTopology()
-{
-    CpuTopology topo;
-#if defined(__linux__)
-    // Node ids can be sparse (offlined nodes); scan a bounded range.
-    constexpr int kMaxNodes = 64;
-    for (int n = 0; n < kMaxNodes; ++n) {
-        char path[96];
-        std::snprintf(path, sizeof path,
-                      "/sys/devices/system/node/node%d/cpulist", n);
-        const std::string list = readSysFile(path);
-        if (list.empty())
-            continue;
-        NumaNode node;
-        node.id = n;
-        node.cpus = parseCpuList(list);
-        if (!node.cpus.empty())
-            topo.nodes.push_back(std::move(node));
-    }
 #endif
-    if (topo.nodes.empty()) {
-        // No /sys topology (non-Linux, containers, …): one flat node.
-        NumaNode node;
-        const unsigned hw =
-            std::max(1u, std::thread::hardware_concurrency());
-        for (unsigned c = 0; c < hw; ++c)
-            node.cpus.push_back(int(c));
-        topo.nodes.push_back(std::move(node));
-    }
-    for (const NumaNode &node : topo.nodes)
-        topo.cpuCount += node.cpus.size();
-    return topo;
-}
 
 std::size_t
 probeLevel2CacheBytes()
@@ -97,119 +58,12 @@ probeLevel2CacheBytes()
 
 } // namespace
 
-std::vector<int>
-parseCpuList(const std::string &list)
-{
-    // Strict all-or-nothing: any malformed chunk yields an EMPTY
-    // result.  The old lenient parser stopped at the first token it
-    // did not understand and returned the prefix — which turned a
-    // stride list like "0-63:4/8" (take 4 of every 8) into the full
-    // 0-63 SUPERSET and silently pinned workers onto cpus the node
-    // does not own.  Wrong placement is worse than no placement, so
-    // unparseable now means "skip this node" (the probe then falls
-    // back to the flat single-node plan).
-    std::vector<int> cpus;
-    const char *p = list.c_str();
-    const auto parseLong = [](const char *&q, long &out) {
-        char *end = nullptr;
-        const long v = std::strtol(q, &end, 10);
-        if (end == q || v < 0)
-            return false;
-        q = end;
-        out = v;
-        return true;
-    };
-    while (true) {
-        long lo = 0;
-        if (!parseLong(p, lo))
-            return {};
-        long hi = lo;
-        if (*p == '-') {
-            ++p;
-            if (!parseLong(p, hi) || hi < lo)
-                return {};
-        }
-        // Kernel stride-group syntax "lo-hi:used/group": from each
-        // group-sized block starting at lo, take the first `used`.
-        long used = hi - lo + 1;
-        long group = used;
-        if (*p == ':') {
-            ++p;
-            if (!parseLong(p, used) || *p != '/')
-                return {};
-            ++p;
-            if (!parseLong(p, group) || used < 1 || group < 1 ||
-                used > group)
-                return {};
-        }
-        for (long g = lo; g <= hi; g += group)
-            for (long c = g; c < g + used && c <= hi; ++c)
-                cpus.push_back(int(c));
-        if (*p != ',')
-            break;
-        ++p;
-    }
-    while (*p == ' ' || *p == '\t' || *p == '\n' || *p == '\r')
-        ++p;
-    if (*p != '\0')
-        return {};
-    return cpus;
-}
-
-const CpuTopology &
-systemTopology()
-{
-    // Magic-static memoization: probed once, thread-safe per C++11.
-    static const CpuTopology topo = probeTopology();
-    return topo;
-}
-
 std::size_t
 level2CacheBytes()
 {
+    // Magic-static memoization: probed once, thread-safe per C++11.
     static const std::size_t bytes = probeLevel2CacheBytes();
     return bytes;
-}
-
-std::vector<int>
-planPlacement(const CpuTopology &topology, std::size_t count)
-{
-    // Flatten in node order: workers fill a node before spilling to
-    // the next, so a pool smaller than one node never crosses nodes.
-    std::vector<int> order;
-    order.reserve(topology.cpuCount);
-    for (const NumaNode &node : topology.nodes)
-        order.insert(order.end(), node.cpus.begin(), node.cpus.end());
-    if (order.empty())
-        return std::vector<int>(count, -1);
-    std::vector<int> plan;
-    plan.reserve(count);
-    for (std::size_t i = 0; i < count; ++i)
-        plan.push_back(order[i % order.size()]);
-    return plan;
-}
-
-std::vector<int>
-planPlacement(std::size_t count)
-{
-    return planPlacement(systemTopology(), count);
-}
-
-bool
-pinThreadToCpu(int cpu)
-{
-#if defined(__linux__)
-    if (cpu < 0 || cpu >= CPU_SETSIZE)
-        return false;
-    cpu_set_t set;
-    CPU_ZERO(&set);
-    CPU_SET(unsigned(cpu), &set);
-    return pthread_setaffinity_np(pthread_self(), sizeof set, &set) ==
-           0;
-#else
-    (void)cpu;
-    return false;
-#endif
 }
 
 } // namespace sf::topo

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/logging.hpp"
-#include "common/topology.hpp"
 
 namespace sf::fleet {
 
@@ -47,7 +46,53 @@ appendNumber(std::string &out, std::uint64_t v)
     out += std::to_string(v);
 }
 
+/** The ledger's keys, in schema order, without the enclosing braces:
+    fault_ledger and each session's degradation object share them. */
+void
+appendFaultLedger(std::string &j, const FaultLedger &f)
+{
+    j += "\"backpressure_stalls\":";
+    appendNumber(j, f.backpressureStalls);
+    j += ",\"dead_channels\":";
+    appendNumber(j, f.deadChannels);
+    j += ",\"recovering_channels\":";
+    appendNumber(j, f.recoveringChannels);
+    j += ",\"dropouts\":";
+    appendNumber(j, f.dropouts);
+    j += ",\"recoveries\":";
+    appendNumber(j, f.recoveries);
+    j += ",\"aborted_reads\":";
+    appendNumber(j, f.abortedReads);
+    j += ",\"worn_pores\":";
+    appendNumber(j, f.poresWorn);
+    j += ",\"revived_pores\":";
+    appendNumber(j, f.poresRevived);
+    j += ",\"washes\":";
+    appendNumber(j, f.washes);
+    j += ",\"hot_swap_epochs\":";
+    appendNumber(j, f.hotSwapEpochs);
+    j += ",\"storm_windows\":";
+    appendNumber(j, f.stormWindows);
+}
+
 } // namespace
+
+FaultLedger &
+FaultLedger::operator+=(const FaultLedger &o)
+{
+    backpressureStalls += o.backpressureStalls;
+    deadChannels += o.deadChannels;
+    recoveringChannels += o.recoveringChannels;
+    dropouts += o.dropouts;
+    recoveries += o.recoveries;
+    abortedReads += o.abortedReads;
+    poresWorn += o.poresWorn;
+    poresRevived += o.poresRevived;
+    washes += o.washes;
+    hotSwapEpochs += o.hotSwapEpochs;
+    stormWindows += o.stormWindows;
+    return *this;
+}
 
 std::string
 FleetSnapshot::toJson() const
@@ -88,28 +133,8 @@ FleetSnapshot::toJson() const
         j += ':';
         appendNumber(j, requestsByBackend[b]);
     }
-    j += "},\"fault_ledger\":{\"backpressure_stalls\":";
-    appendNumber(j, faults.backpressureStalls);
-    j += ",\"dead_channels\":";
-    appendNumber(j, faults.deadChannels);
-    j += ",\"recovering_channels\":";
-    appendNumber(j, faults.recoveringChannels);
-    j += ",\"dropouts\":";
-    appendNumber(j, faults.dropouts);
-    j += ",\"recoveries\":";
-    appendNumber(j, faults.recoveries);
-    j += ",\"aborted_reads\":";
-    appendNumber(j, faults.abortedReads);
-    j += ",\"worn_pores\":";
-    appendNumber(j, faults.poresWorn);
-    j += ",\"revived_pores\":";
-    appendNumber(j, faults.poresRevived);
-    j += ",\"washes\":";
-    appendNumber(j, faults.washes);
-    j += ",\"hot_swap_epochs\":";
-    appendNumber(j, faults.hotSwapEpochs);
-    j += ",\"storm_windows\":";
-    appendNumber(j, faults.stormWindows);
+    j += "},\"fault_ledger\":{";
+    appendFaultLedger(j, faults);
     j += "},\"sessions\":[";
     for (std::size_t i = 0; i < sessions.size(); ++i) {
         const SessionSnapshot &s = sessions[i];
@@ -129,28 +154,8 @@ FleetSnapshot::toJson() const
         appendNumber(j, s.decisions);
         j += ",\"finished\":";
         j += s.finished ? "true" : "false";
-        j += ",\"degradation\":{\"backpressure_stalls\":";
-        appendNumber(j, s.backpressureStalls);
-        j += ",\"dead_channels\":";
-        appendNumber(j, s.deadChannels);
-        j += ",\"recovering_channels\":";
-        appendNumber(j, s.recoveringChannels);
-        j += ",\"dropouts\":";
-        appendNumber(j, s.dropouts);
-        j += ",\"recoveries\":";
-        appendNumber(j, s.recoveries);
-        j += ",\"aborted_reads\":";
-        appendNumber(j, s.abortedReads);
-        j += ",\"worn_pores\":";
-        appendNumber(j, s.poresWorn);
-        j += ",\"revived_pores\":";
-        appendNumber(j, s.poresRevived);
-        j += ",\"washes\":";
-        appendNumber(j, s.washes);
-        j += ",\"hot_swap_epochs\":";
-        appendNumber(j, s.hotSwapEpochs);
-        j += ",\"storm_windows\":";
-        appendNumber(j, s.stormWindows);
+        j += ",\"degradation\":{";
+        appendFaultLedger(j, s.faults);
         j += ",\"wear_hist\":[";
         for (std::size_t b = 0; b < s.wearHistogram.size(); ++b) {
             if (b != 0)
@@ -229,30 +234,16 @@ FleetOrchestrator::run()
     // addSession), so one kernel shape serves them all.
     pool_.start(sessions_.front()->spec.classifier->config(), asicSpec_);
 
-    // Node-compact placement, workers first, then session drivers —
-    // a fleet smaller than one node shares that node end to end.  The
-    // pool pinned its workers to the head of the same prefix-stable
-    // plan; the drivers take its tail.  Wall-clock only: pinning must
-    // never change a decision log.
-    const unsigned workers = pool_.config().workers;
-    std::vector<int> placement(workers + sessions_.size(), -1);
-    if (pool_.config().pinWorkers)
-        placement = topo::planPlacement(placement.size());
-
     // One driver thread per session: each runs its own virtual-time
     // event loop and blocks (backpressure) independently.
     std::vector<std::thread> drivers;
     drivers.reserve(sessions_.size());
     for (std::size_t i = 0; i < sessions_.size(); ++i) {
         SessionState &state = *sessions_[i];
-        drivers.emplace_back(
-            [this, &state, i, cpu = placement[workers + i]] {
-                if (cpu >= 0)
-                    topo::pinThreadToCpu(cpu);
-                state.result = state.session.runShared(
-                    pool_, state.spec.reads, std::uint32_t(i),
-                    &state.live);
-            });
+        drivers.emplace_back([this, &state, i] {
+            state.result = state.session.runShared(
+                pool_, state.spec.reads, std::uint32_t(i), &state.live);
+        });
     }
     for (std::thread &driver : drivers)
         driver.join();
@@ -332,31 +323,22 @@ FleetOrchestrator::snapshot() const
             state.live.finished.load(std::memory_order_acquire);
 
         const stream::LiveDegradation &d = state.live.degradation;
-        s.backpressureStalls = pool_.queue().stalls(std::uint32_t(i));
-        s.deadChannels = rel(d.deadChannels);
-        s.recoveringChannels = rel(d.recoveringChannels);
-        s.dropouts = rel(d.dropouts);
-        s.recoveries = rel(d.recoveries);
-        s.abortedReads = rel(d.abortedReads);
-        s.poresWorn = rel(d.poresWorn);
-        s.poresRevived = rel(d.poresRevived);
-        s.washes = rel(d.washes);
-        s.hotSwapEpochs = rel(d.hotSwapEpochs);
-        s.stormWindows = rel(d.stormWindows);
+        FaultLedger &f = s.faults;
+        f.backpressureStalls = pool_.queue().stalls(std::uint32_t(i));
+        f.deadChannels = rel(d.deadChannels);
+        f.recoveringChannels = rel(d.recoveringChannels);
+        f.dropouts = rel(d.dropouts);
+        f.recoveries = rel(d.recoveries);
+        f.abortedReads = rel(d.abortedReads);
+        f.poresWorn = rel(d.poresWorn);
+        f.poresRevived = rel(d.poresRevived);
+        f.washes = rel(d.washes);
+        f.hotSwapEpochs = rel(d.hotSwapEpochs);
+        f.stormWindows = rel(d.stormWindows);
         for (std::size_t b = 0; b < s.wearHistogram.size(); ++b)
             s.wearHistogram[b] = rel(d.wearBuckets[b]);
 
-        snap.faults.backpressureStalls += s.backpressureStalls;
-        snap.faults.deadChannels += s.deadChannels;
-        snap.faults.recoveringChannels += s.recoveringChannels;
-        snap.faults.dropouts += s.dropouts;
-        snap.faults.recoveries += s.recoveries;
-        snap.faults.abortedReads += s.abortedReads;
-        snap.faults.poresWorn += s.poresWorn;
-        snap.faults.poresRevived += s.poresRevived;
-        snap.faults.washes += s.washes;
-        snap.faults.hotSwapEpochs += s.hotSwapEpochs;
-        snap.faults.stormWindows += s.stormWindows;
+        snap.faults += f;
 
         snap.chunksEmitted += s.chunksEmitted;
         snap.sessions.push_back(std::move(s));

@@ -64,12 +64,32 @@ struct SessionSpec
         dwell cap) — addSession() fatals otherwise. */
     const sdtw::SquiggleFilterClassifier *classifier = nullptr;
     /** Flowcell parameters.  workers/queueCapacity/dispatchBatch/
-        laneBatching/pinWorkers are the fleet's concern and ignored
-        here. */
+        laneBatching are the fleet's concern and ignored here. */
     stream::SessionConfig config;
     QosClass qos = QosClass::Research;
     /** Reads this flowcell sequences; must outlive run(). */
     std::span<const signal::ReadRecord> reads;
+};
+
+/** Per-fault-class degradation counters (see stream::FaultPlan): one
+    session's in SessionSnapshot, their sum over sessions in
+    FleetSnapshot. */
+struct FaultLedger
+{
+    /** Pushes that blocked on the shared queue (wall-clock only). */
+    std::uint64_t backpressureStalls = 0;
+    std::uint64_t deadChannels = 0;       //!< worn or permanently down
+    std::uint64_t recoveringChannels = 0; //!< inside an outage
+    std::uint64_t dropouts = 0;
+    std::uint64_t recoveries = 0;
+    std::uint64_t abortedReads = 0;
+    std::uint64_t poresWorn = 0;
+    std::uint64_t poresRevived = 0;
+    std::uint64_t washes = 0;
+    std::uint64_t hotSwapEpochs = 0;
+    std::uint64_t stormWindows = 0;
+
+    FaultLedger &operator+=(const FaultLedger &o);
 };
 
 /** Mid-run view of one session. */
@@ -84,40 +104,11 @@ struct SessionSnapshot
     std::uint64_t chunksEmitted = 0;
     std::uint64_t decisions = 0;
     bool finished = false;
-
-    // ---- degradation ledger (see stream::FaultPlan) ----------------
-    /** Pushes that blocked on the shared queue (wall-clock only). */
-    std::uint64_t backpressureStalls = 0;
-    std::uint64_t deadChannels = 0;       //!< worn or permanently down
-    std::uint64_t recoveringChannels = 0; //!< inside an outage
-    std::uint64_t dropouts = 0;
-    std::uint64_t recoveries = 0;
-    std::uint64_t abortedReads = 0;
-    std::uint64_t poresWorn = 0;
-    std::uint64_t poresRevived = 0;
-    std::uint64_t washes = 0;
-    std::uint64_t hotSwapEpochs = 0;
-    std::uint64_t stormWindows = 0;
+    FaultLedger faults; //!< this session's degradation ledger
     /** Live per-channel wear histogram (kWearBuckets bins of [0,1]).
         Mid-run the gauge is approximate (relaxed ticks); once the
         session finished it equals the result's DegradationStats. */
     std::array<std::uint64_t, stream::kWearBuckets> wearHistogram{};
-};
-
-/** Fleet-wide per-fault-class event totals (sum over sessions). */
-struct FaultLedger
-{
-    std::uint64_t backpressureStalls = 0;
-    std::uint64_t deadChannels = 0;
-    std::uint64_t recoveringChannels = 0;
-    std::uint64_t dropouts = 0;
-    std::uint64_t recoveries = 0;
-    std::uint64_t abortedReads = 0;
-    std::uint64_t poresWorn = 0;
-    std::uint64_t poresRevived = 0;
-    std::uint64_t washes = 0;
-    std::uint64_t hotSwapEpochs = 0;
-    std::uint64_t stormWindows = 0;
 };
 
 /** Machine-readable live view of the whole fleet. */

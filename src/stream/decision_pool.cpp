@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/logging.hpp"
-#include "common/topology.hpp"
 #include "sdtw/batch.hpp"
 
 namespace sf::stream {
@@ -49,21 +48,10 @@ DecisionPool::start(const sdtw::SdtwConfig &kernel, const AsicSpec &asic)
         backends_.push_back(makeDecisionBackend(kind, asic, kernel, lanes,
                                                 config_.laneBatching));
 
-    // Node-compact placement of the workers.  planPlacement is
-    // prefix-stable, so a fleet pins its drivers to the tail of a
-    // longer plan without moving these.  Wall-clock only: pinning
-    // must never change a decision log.
-    const std::vector<int> placement =
-        config_.pinWorkers ? topo::planPlacement(config_.workers)
-                           : std::vector<int>(config_.workers, -1);
     workers_.reserve(config_.workers);
     for (unsigned w = 0; w < config_.workers; ++w)
         workers_.emplace_back(
-            [this, cpu = placement[w], &backend = *backends_[w]] {
-                if (cpu >= 0)
-                    topo::pinThreadToCpu(cpu);
-                workerMain(backend);
-            });
+            [this, &backend = *backends_[w]] { workerMain(backend); });
 }
 
 bool

@@ -64,18 +64,6 @@ struct PoolConfig
     std::size_t dispatchLingerUs = 250;
     /** Fold each dispatch's requests as SIMD lane batches. */
     bool laneBatching = true;
-    /**
-     * Topology-aware placement: pin pool workers (and, in a fleet,
-     * the session driver threads after them) to cpus
-     * (sf::topo::planPlacement, node-compact, workers first) so each
-     * worker's lane-batch kernel scratch and the sessions it serves
-     * stay on one NUMA node instead of bouncing tiled batch state
-     * between sockets.  Decision logs are bit-identical with pinning
-     * on or off — placement may only move wall-clock latency (pinned
-     * in tests/test_fleet.cpp and tests/test_stream.cpp) — and the
-     * knob is a graceful no-op on hosts without affinity support.
-     */
-    bool pinWorkers = false;
 };
 
 /** Pool-level telemetry, cumulative since start() and ticked per

@@ -654,7 +654,6 @@ ReadUntilSession::run(std::span<const signal::ReadRecord> reads) const
     pool_config.statBurst = 1;
     pool_config.dispatchLingerUs = 0;
     pool_config.laneBatching = config_.laneBatching;
-    pool_config.pinWorkers = config_.pinWorkers;
     DecisionPool pool(pool_config);
     const std::uint32_t session_id =
         pool.registerSession(QosClass::Stat, config_.backend);

@@ -65,14 +65,6 @@ struct SessionConfig
      */
     bool laneBatching = true;
     /**
-     * Pin worker threads to cpus (node-compact placement via
-     * sf::topo::planPlacement) so each worker's per-worker BatchSdtw
-     * scratch stays resident on one NUMA node.  Pure wall-clock
-     * placement — the decision log is bit-identical either way — and
-     * a graceful no-op on hosts without affinity support.
-     */
-    bool pinWorkers = false;
-    /**
      * Which engine executes decision requests (see
      * stream/decision_backend.hpp).  The virtual-clock outcomes —
      * including decisionLatencySec, which stays the modelled budget
@@ -209,11 +201,11 @@ class ReadUntilSession
     /**
      * Run the same flowcell against an external decision service — a
      * shared fleet worker pool — instead of a pool of its own.
-     * config().workers, queueCapacity, dispatchBatch, laneBatching and
-     * pinWorkers are the service's concern and ignored here; the
-     * decision log is bit-identical to run() regardless, because
-     * every virtual-time outcome depends only on the session seed,
-     * config and reads.  Wall-clock statistics (latency percentiles,
+     * config().workers, queueCapacity, dispatchBatch and laneBatching
+     * are the service's concern and ignored here; the decision log
+     * is bit-identical to run() regardless, because every
+     * virtual-time outcome depends only on the session seed, config
+     * and reads.  Wall-clock statistics (latency percentiles,
      * chunks/s) reflect the shared pool; dispatches/meanBatchSize are
      * pool-level and left zero.  @p session_id tags every submitted
      * request so the service can do per-session admission accounting,

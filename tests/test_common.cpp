@@ -16,7 +16,6 @@
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
-#include "common/topology.hpp"
 
 namespace sf {
 namespace {
@@ -291,65 +290,6 @@ TEST(Logging, FatalThrowsWithMessage)
     }
 }
 
-TEST(CpuList, FlatFormsParse)
-{
-    EXPECT_EQ(topo::parseCpuList("3"), (std::vector<int>{3}));
-    EXPECT_EQ(topo::parseCpuList("0-3"), (std::vector<int>{0, 1, 2, 3}));
-    EXPECT_EQ(topo::parseCpuList("0-2,8,10-11"),
-              (std::vector<int>{0, 1, 2, 8, 10, 11}));
-    // sysfs files end in a newline.
-    EXPECT_EQ(topo::parseCpuList("4-5\n"), (std::vector<int>{4, 5}));
-}
-
-TEST(CpuList, StrideGroupsParse)
-{
-    // Kernel bitmap_parselist stride form: from each group of 8
-    // starting at 0, take the first 4.
-    std::vector<int> want;
-    for (int g = 0; g <= 63; g += 8)
-        for (int c = g; c < g + 4; ++c)
-            want.push_back(c);
-    EXPECT_EQ(topo::parseCpuList("0-63:4/8"), want);
-    // Strides compose with unions, and a trailing partial group is
-    // clipped at hi.
-    EXPECT_EQ(topo::parseCpuList("0-9:2/4,16"),
-              (std::vector<int>{0, 1, 4, 5, 8, 9, 16}));
-    EXPECT_EQ(topo::parseCpuList("0-63:4/8\n"), want);
-}
-
-TEST(CpuList, MalformedInputsYieldEmptyNotWrongPlacement)
-{
-    // The regression this guards: a lenient parser turned
-    // "0-63:4/8" into the full 0-63 superset.  Anything unparseable
-    // must yield EMPTY so the probe falls back to the flat plan.
-    EXPECT_TRUE(topo::parseCpuList("").empty());
-    EXPECT_TRUE(topo::parseCpuList("abc").empty());
-    EXPECT_TRUE(topo::parseCpuList("0-").empty());
-    EXPECT_TRUE(topo::parseCpuList("3-1").empty());
-    EXPECT_TRUE(topo::parseCpuList("0-3x").empty());
-    EXPECT_TRUE(topo::parseCpuList("0-3,").empty());
-    EXPECT_TRUE(topo::parseCpuList("0-63:4").empty());   // no /group
-    EXPECT_TRUE(topo::parseCpuList("0-63:0/8").empty()); // used < 1
-    EXPECT_TRUE(topo::parseCpuList("0-63:9/8").empty()); // used > grp
-    EXPECT_TRUE(topo::parseCpuList("0-63:4/0").empty()); // group < 1
-    EXPECT_TRUE(topo::parseCpuList("-1-3").empty());
-}
-
-TEST(CpuList, PlacementIsNodeCompactAndPrefixStable)
-{
-    // A pool plans its workers alone and a fleet pins its drivers to
-    // the tail of a longer plan: the shorter plan must be the head of
-    // the longer one, wrap included.
-    topo::CpuTopology two_nodes;
-    two_nodes.nodes = {topo::NumaNode{0, {0, 2}}, topo::NumaNode{1, {1, 3}}};
-    two_nodes.cpuCount = 4;
-    const auto plan = topo::planPlacement(two_nodes, 6);
-    EXPECT_EQ(plan, (std::vector<int>{0, 2, 1, 3, 0, 2}));
-    for (std::size_t n = 0; n <= plan.size(); ++n)
-        EXPECT_EQ(topo::planPlacement(two_nodes, n),
-                  std::vector<int>(plan.begin(), plan.begin() + long(n)));
-}
-
 TEST(EnvKnobs, UnsetYieldsFallback)
 {
     ::unsetenv("SF_TEST_KNOB");
@@ -385,6 +325,14 @@ TEST(EnvKnobs, MalformedValuesAreFatalNotTruncated)
     EXPECT_THROW(envDouble("SF_TEST_KNOB", 0.0), FatalError);
     ::setenv("SF_TEST_KNOB", "-3", 1);
     EXPECT_THROW(envSize("SF_TEST_KNOB", 0u), FatalError);
+    // strtoull skips whitespace and takes a sign, so without the
+    // leading-digit check " -1" reads as 2^64-1 and " 12" / "+7" as
+    // 12 / 7.
+    for (const char *signed_or_padded : {" -1", " 12", "+7"}) {
+        ::setenv("SF_TEST_KNOB", signed_or_padded, 1);
+        EXPECT_THROW(envSize("SF_TEST_KNOB", 0u), FatalError)
+            << '"' << signed_or_padded << '"';
+    }
     ::setenv("SF_TEST_KNOB", "", 1);
     EXPECT_THROW(envSize("SF_TEST_KNOB", 0u), FatalError);
     ::setenv("SF_TEST_KNOB", "yes", 1);
@@ -393,6 +341,14 @@ TEST(EnvKnobs, MalformedValuesAreFatalNotTruncated)
     EXPECT_THROW(envUnsignedCsv("SF_TEST_KNOB", {}), FatalError);
     ::setenv("SF_TEST_KNOB", "1,4x", 1);
     EXPECT_THROW(envUnsignedCsv("SF_TEST_KNOB", {}), FatalError);
+    // Without the leading-digit check "-18446744073709551615" wraps
+    // to 1; signed or padded tokens are malformed anywhere in a list.
+    for (const char *signed_token :
+         {"-18446744073709551615", "1,+4", "1, 4", "-1"}) {
+        ::setenv("SF_TEST_KNOB", signed_token, 1);
+        EXPECT_THROW(envUnsignedCsv("SF_TEST_KNOB", {}), FatalError)
+            << '"' << signed_token << '"';
+    }
     ::unsetenv("SF_TEST_KNOB");
 }
 

@@ -616,17 +616,17 @@ TEST(SnapshotSchemaTest, ToJsonRoundTripsEveryDocumentedField)
     a.chunksEmitted = 4000;
     a.decisions = 64;
     a.finished = false;
-    a.backpressureStalls = 10;
-    a.deadChannels = 2;
-    a.recoveringChannels = 1;
-    a.dropouts = 4;
-    a.recoveries = 3;
-    a.abortedReads = 5;
-    a.poresWorn = 6;
-    a.poresRevived = 1;
-    a.washes = 2;
-    a.hotSwapEpochs = 9;
-    a.stormWindows = 7;
+    a.faults.backpressureStalls = 10;
+    a.faults.deadChannels = 2;
+    a.faults.recoveringChannels = 1;
+    a.faults.dropouts = 4;
+    a.faults.recoveries = 3;
+    a.faults.abortedReads = 5;
+    a.faults.poresWorn = 6;
+    a.faults.poresRevived = 1;
+    a.faults.washes = 2;
+    a.faults.hotSwapEpochs = 9;
+    a.faults.stormWindows = 7;
     a.wearHistogram = {57, 1, 2, 3, 4, 5, 6, 7};
     SessionSnapshot b;
     b.name = "cell-1";
@@ -634,14 +634,14 @@ TEST(SnapshotSchemaTest, ToJsonRoundTripsEveryDocumentedField)
     b.chunksEmitted = 242;
     b.decisions = 8;
     b.finished = true;
-    b.backpressureStalls = 1;
-    b.dropouts = 1;
-    b.recoveries = 1;
-    b.abortedReads = 1;
-    b.poresWorn = 1;
-    b.washes = 0;
-    b.hotSwapEpochs = 0;
-    b.stormWindows = 1;
+    b.faults.backpressureStalls = 1;
+    b.faults.dropouts = 1;
+    b.faults.recoveries = 1;
+    b.faults.abortedReads = 1;
+    b.faults.poresWorn = 1;
+    b.faults.washes = 0;
+    b.faults.hotSwapEpochs = 0;
+    b.faults.stormWindows = 1;
     snap.sessions = {a, b};
 
     JsonValue root;
@@ -863,30 +863,6 @@ TEST_F(FleetTest, PerSessionLogsMatchStandaloneAcrossFleetAndWorkers)
                         " workers=" + std::to_string(workers) +
                         " session=" + std::to_string(i));
             }
-        }
-    }
-}
-
-TEST_F(FleetTest, PerSessionLogsMatchStandaloneWithAffinityPinning)
-{
-    // Same determinism matrix with topology-aware worker placement
-    // turned on (pinning off is the matrix above).  Pinning routes
-    // threads onto planned cores; on hosts without affinity support
-    // it degrades to a no-op.  Either way it may only move wall-clock
-    // latency — every decision log must stay bit-identical.
-    for (unsigned workers : kWorkerCounts) {
-        FleetConfig cfg;
-        cfg.workers = workers;
-        cfg.queueCapacity = 32;
-        cfg.dispatchBatch = 16;
-        cfg.pinWorkers = true;
-        const FleetResult result = runFleet(kMaxFleet, cfg);
-        ASSERT_EQ(result.sessions.size(), kMaxFleet);
-        for (std::size_t i = 0; i < kMaxFleet; ++i) {
-            expectLogsEqual(
-                result.sessions[i].result, standalone(i),
-                "pinned workers=" + std::to_string(workers) +
-                    " session=" + std::to_string(i));
         }
     }
 }
@@ -1164,15 +1140,15 @@ TEST_F(FleetTest, FaultedSessionsStayDeterministicAndLedgerAggregates)
 
         const auto &deg = result.sessions[i].result.stats.degradation;
         const auto &live = result.snapshot.sessions[i];
-        EXPECT_EQ(live.dropouts, deg.dropouts);
-        EXPECT_EQ(live.recoveries, deg.recoveries);
-        EXPECT_EQ(live.abortedReads, deg.readsAborted);
-        EXPECT_EQ(live.poresWorn, deg.poresWorn);
-        EXPECT_EQ(live.poresRevived, deg.poresRevived);
-        EXPECT_EQ(live.washes, deg.washes);
-        EXPECT_EQ(live.hotSwapEpochs, deg.hotSwapEpochs);
-        EXPECT_EQ(live.stormWindows, deg.stormWindows);
-        EXPECT_EQ(live.deadChannels, deg.deadChannelsAtEnd);
+        EXPECT_EQ(live.faults.dropouts, deg.dropouts);
+        EXPECT_EQ(live.faults.recoveries, deg.recoveries);
+        EXPECT_EQ(live.faults.abortedReads, deg.readsAborted);
+        EXPECT_EQ(live.faults.poresWorn, deg.poresWorn);
+        EXPECT_EQ(live.faults.poresRevived, deg.poresRevived);
+        EXPECT_EQ(live.faults.washes, deg.washes);
+        EXPECT_EQ(live.faults.hotSwapEpochs, deg.hotSwapEpochs);
+        EXPECT_EQ(live.faults.stormWindows, deg.stormWindows);
+        EXPECT_EQ(live.faults.deadChannels, deg.deadChannelsAtEnd);
         for (std::size_t b = 0; b < stream::kWearBuckets; ++b)
             EXPECT_EQ(live.wearHistogram[b], deg.wearHistogram[b])
                 << "session " << i << " wear bucket " << b;

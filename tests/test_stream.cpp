@@ -169,22 +169,13 @@ TEST_F(SessionTest, DecisionLogDeterministicAcrossWorkerCounts)
     const auto &data = pipeline::makeStreamDataset(kDatasetReads, 0.5, 12);
     const auto &reference_run = baselineRun();
 
-    // The pinned run places the pool's workers with planPlacement:
-    // wall-clock only, so its log must match too.
-    struct Variant
-    {
-        unsigned workers;
-        bool pin;
-    };
-    for (const Variant v : {Variant{1, false}, Variant{3, false},
-                            Variant{3, true}}) {
+    for (const unsigned workers : {1u, 3u}) {
         SessionConfig cfg = config();
-        cfg.workers = v.workers;
-        cfg.pinWorkers = v.pin;
+        cfg.workers = workers;
         const auto rerun =
             ReadUntilSession(classifier(), cfg).run(data.reads);
         ASSERT_EQ(rerun.log.size(), reference_run.log.size())
-            << "workers=" << v.workers << " pin=" << v.pin;
+            << "workers=" << workers;
         for (std::size_t i = 0; i < rerun.log.size(); ++i) {
             const auto &a = reference_run.log[i];
             const auto &b = rerun.log[i];
