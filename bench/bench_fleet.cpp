@@ -7,7 +7,7 @@
  * The point under measurement is cross-session SIMD lane folding.  A
  * half-loaded flowcell (8 channels here) never has enough concurrent
  * decision requests to reach the lane kernel's serial cutover, so an
- * isolated session folds every dispatch through the scalar engine.
+ * isolated session folds every dispatch through the serial engine.
  * The shared pool sees all sessions' requests in one queue, and one
  * worker dispatch folds them together at full SIMD width.  Decisions
  * are bit-identical either way (verified below); only wall-clock

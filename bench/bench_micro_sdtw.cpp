@@ -318,16 +318,16 @@ BENCHMARK(BM_SystolicArraySim)->Args({64, 2000})->Args({256, 2000});
 int
 main(int argc, char **argv)
 {
-    // The batched benches are registered at runtime, once per
+    // The batched benches are registered at runtime, once per lane
     // backend: the best backend this host can execute gets the full
-    // shape sweep, the others one comparison shape each.  Backends
-    // the host lacks are still registered — they SkipWithError so a
-    // missing ISA shows up as a loud skip in the report, never as a
-    // silent dispatch-fallback measurement.
+    // shape sweep, the other one comparison shape.  Backends the host
+    // lacks are still registered — they SkipWithError so a missing
+    // ISA shows up as a loud skip in the report, never as a silent
+    // serial-fallback measurement.  The Serial backend gets no row:
+    // it is BM_QuantSdtw.
     const sdtw::SimdBackend best = sdtw::detectSimdBackend();
     for (sdtw::SimdBackend backend :
-         {sdtw::SimdBackend::Scalar, sdtw::SimdBackend::Sse2,
-          sdtw::SimdBackend::Avx2, sdtw::SimdBackend::Avx512}) {
+         {sdtw::SimdBackend::Avx2, sdtw::SimdBackend::Avx512}) {
         const std::string name = std::string("BM_BatchSdtw<") +
                                  sdtw::simdBackendName(backend) + ">";
         auto *bench = benchmark::RegisterBenchmark(

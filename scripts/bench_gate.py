@@ -85,13 +85,16 @@ def cache_bytes(level):
     return 0
 
 
+def simd_tier(flags):
+    """The backend detectSimdBackend() picks for these CPU flags."""
+    return ("avx512" if {"avx512f", "avx512bw", "avx512vl"} <= flags
+            else "avx2" if "avx2" in flags else "serial")
+
+
 def fingerprint():
     info = dict(re.findall(r"^(model name|flags)\s*: (.*)$",
                            read("/proc/cpuinfo"), re.M))
-    flags = set(info.get("flags", "").split())
-    simd = ("avx512" if {"avx512f", "avx512bw", "avx512vl"} <= flags
-            else "avx2" if "avx2" in flags
-            else "sse2" if "sse2" in flags else "scalar")
+    simd = simd_tier(set(info.get("flags", "").split()))
     cmake = sorted(BUILD.glob("CMakeFiles/*/CMakeCXXCompiler.cmake"))
     cxx = dict(re.findall(r'CMAKE_CXX_COMPILER_(ID|VERSION) "([^"]*)"',
                           read(cmake[-1]) if cmake else ""))
@@ -393,7 +396,7 @@ def self_test():
         {"scope": "ratio", "metric": "x<{simd}>", "over": "v", "op": ">",
          "threshold": 1.0, "simd": ["avx2", "avx512"]}]
     good = {"v": 90.0, "w": 95.0, "tail": 120.0, "p": 11.0, "ok": True,
-            "x<avx512>": 91.0, "x<sse2>": 1.0,
+            "x<avx512>": 91.0, "x<serial>": 1.0,
             "sweep": [{"n": 1, "p": 3.0}, {"n": 2, "p": 2.0}, {"n": 4, "p": 2.0}]}
     bad = [{"v": 84.0}, {"tail": 131.0}, {"w": 106.0}, {"p": 12.7},
            {"ok": False}, {"sweep": [{"n": 4, "p": 2.5}, {"n": 2, "p": 2.0}]},
@@ -418,11 +421,14 @@ def self_test():
     foreign = statuses(good, {**host, "cores": 64})
     expect("foreign host", foreign, ["skip", "skip"] + ["OK"] * (n - 2))
     counts = report(list(evaluate(doc, {"base": (good, [])},
-                                  {**host, "simd": "sse2"})))
+                                  {**host, "simd": "serial"})))
     expect("foreign host summary", (counts["skip"], counts["FAIL"]), (3, 0))
     expect("missing metric", statuses({k: good[k] for k in good if k != "v"}),
            ["FAIL", "OK", "FAIL", "OK", "OK", "OK", "FAIL"])
     expect("missing record", statuses(None), ["FAIL"] * n)
+    expect("simd tiers", [simd_tier(set(f.split())) for f in (
+        "sse2 avx2 avx512f avx512bw avx512vl", "sse2 avx2 avx512f",
+        "sse2 sse4_2")], ["avx512", "avx2", "serial"])
     expect("median of repeats", aggregate([{"a": 1, "b": True},
                                            {"a": 5, "b": False},
                                            {"a": 2, "b": True}]),

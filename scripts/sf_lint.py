@@ -4,12 +4,15 @@
 Nine rules, each encoding a correctness contract of this codebase:
 
   simd-backend-integrity   Every SIMD backend TU (src/sdtw/
-                           batch_{sse2,avx2,avx512}.cpp) keeps its
+                           batch_{avx2,avx512}.cpp) keeps its
                            ISA-flag guard block, its CMake per-TU ISA
                            flags, and its golden-pin test registration
                            in tests/test_batch.cpp.  A backend that
                            silently drops out of the build or out of
                            the pin loop would ship unverified SIMD.
+                           Any other src/sdtw/batch_<isa>.cpp is a
+                           finding: a backend the rule does not list
+                           would skip all three checks.
 
   concurrency-containment  No raw concurrency primitives
                            (std::mutex, std::thread, std::atomic,
@@ -163,7 +166,6 @@ def line_of(text: str, offset: int) -> int:
 # backend -> (ISA macros that must appear in the TU's guard,
 #             compiler flags CMake must hand that TU)
 BACKENDS = {
-    "sse2": (["__SSE2__"], []),  # baseline x86-64: no extra flags
     "avx2": (["__AVX2__"], ["-mavx2"]),
     "avx512": (
         ["__AVX512F__", "__AVX512BW__", "__AVX512VL__"],
@@ -172,10 +174,9 @@ BACKENDS = {
 }
 
 # Enumerator each backend registers golden pins under (test_batch.cpp
-# iterates availableBackends() inside the pin test, and the
-# availableBackends() helper must enumerate every backend).
+# iterates availableBackends() inside the pin test, and the helpers
+# behind it must enumerate every backend).
 BACKEND_ENUMERATORS = {
-    "sse2": "SimdBackend::Sse2",
     "avx2": "SimdBackend::Avx2",
     "avx512": "SimdBackend::Avx512",
 }
@@ -200,6 +201,15 @@ def rule_simd_backend_integrity(root: Path, findings: List[Finding]):
             Finding(rule, "tests/test_batch.cpp",
                     f"{GOLDEN_PIN_TEST} no longer iterates "
                     "availableBackends(); backends can skip the pins"))
+
+    for tu in sorted((root / "src" / "sdtw").glob("batch_*.cpp")):
+        backend = tu.stem[len("batch_"):]
+        if backend not in BACKENDS:
+            findings.append(
+                Finding(rule, tu.relative_to(root).as_posix(),
+                        f"backend TU '{backend}' is not listed in "
+                        "BACKENDS in scripts/sf_lint.py; its guard, "
+                        "flags and golden pins go unchecked"))
 
     for backend, (macros, flags) in BACKENDS.items():
         rel = f"src/sdtw/batch_{backend}.cpp"
@@ -403,7 +413,6 @@ def rule_hw_oracle_containment(root: Path, findings: List[Finding]):
 HOT_PATH_FILES = [
     "src/sdtw/batch_kernel.hpp",
     "src/sdtw/batch.cpp",
-    "src/sdtw/batch_sse2.cpp",
     "src/sdtw/batch_avx2.cpp",
     "src/sdtw/batch_avx512.cpp",
 ]

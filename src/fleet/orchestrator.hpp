@@ -8,7 +8,7 @@
  * Each ReadUntilSession models one flowcell, but a single half-loaded
  * flowcell rarely has enough concurrent in-flight decisions to fill a
  * SIMD lane batch — an AVX-512 fold wants 16 live requests, and below
- * the serial cutover the kernel drops to the scalar engine entirely.
+ * the serial cutover the kernel drops to the serial engine entirely.
  * The orchestrator shards many sessions over ONE worker pool so the
  * decision requests of different flowcells fold into the same lane
  * batches (grouped per classifier; a same-target surveillance fleet
@@ -51,7 +51,7 @@ namespace sf::fleet {
 
 /** Shared worker-pool and admission configuration: the settings of
     the fleet's stream::DecisionPool (workers, queue, dispatch width,
-    admission quota, statBurst, linger, lane batching, pinning). */
+    admission quota, statBurst, linger, lane batching). */
 using FleetConfig = stream::PoolConfig;
 
 /** One flowcell session to shard onto the shared pool. */

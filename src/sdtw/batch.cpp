@@ -2,74 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
-#include <string>
 
-#include "common/env.hpp"
 #include "common/logging.hpp"
 #include "common/topology.hpp"
 
 namespace sf::sdtw {
-
-namespace detail {
-namespace {
-
-/** Reference Ops: one lane of plain integers — the portable path. */
-struct ScalarOps
-{
-    // Strip-mining hurts the scalar path (measured ~2x slower): the
-    // per-column strip chain adds register pressure without any lane
-    // amortisation to pay for it.  One row per sweep.
-    static constexpr int kMaxStrip = 1;
-    static constexpr std::size_t W = 1;
-    using Vec = std::uint32_t;
-    using Mask = bool;
-
-    static Vec broadcast(std::int32_t v) { return Vec(v); }
-    static Vec loadI32(const std::int32_t *p) { return Vec(*p); }
-    static Vec loadU32(const Cost *p) { return *p; }
-    static void storeU32(Cost *p, Vec v) { *p = v; }
-    static Vec loadDwell(const std::uint8_t *p) { return *p; }
-    static void storeDwell(std::uint8_t *p, Vec v)
-    {
-        *p = std::uint8_t(v);
-    }
-    static Vec addI32(Vec a, Vec b) { return a + b; }
-    static Vec subI32(Vec a, Vec b) { return a - b; }
-    static Vec mulI32(Vec a, Vec b) { return a * b; }
-    static Vec absI32(Vec v)
-    {
-        const auto s = std::int32_t(v);
-        return Vec(s < 0 ? -s : s);
-    }
-    static Vec shlI32(Vec v, int count) { return v << count; }
-    static Vec shrI32(Vec v, int count) { return v >> count; }
-    static Vec minI32(Vec a, Vec b)
-    {
-        return std::int32_t(a) < std::int32_t(b) ? a : b;
-    }
-    static Vec minU32(Vec a, Vec b) { return a < b ? a : b; }
-    static Vec maxU32(Vec a, Vec b) { return a > b ? a : b; }
-    static Mask ltU32(Vec a, Vec b) { return a < b; }
-    static Mask gtU32(Vec a, Vec b) { return a > b; }
-    static Vec select(Mask m, Vec t, Vec f) { return m ? t : f; }
-    /** kgt ? min(dw + one, cap) : one (the post-fold dwell update). */
-    static Vec dwellBump(Vec dw, Vec one, Vec capv, Vec, Mask kgt)
-    {
-        return select(kgt, minI32(addI32(dw, one), capv), one);
-    }
-};
-
-} // namespace
-
-FoldRowFns
-resolveFoldRowScalar(const SdtwConfig &config, bool use_bonus)
-{
-    return resolveFoldRow<ScalarOps>(config, use_bonus);
-}
-
-} // namespace detail
 
 namespace {
 
@@ -77,14 +14,8 @@ bool
 backendCompiledIn(SimdBackend backend)
 {
     switch (backend) {
-    case SimdBackend::Scalar:
+    case SimdBackend::Serial:
         return true;
-    case SimdBackend::Sse2:
-#if defined(__SSE2__)
-        return true;
-#else
-        return false;
-#endif
     case SimdBackend::Avx2:
 #if defined(SF_BATCH_HAVE_AVX2)
         return true;
@@ -106,10 +37,8 @@ cpuSupports(SimdBackend backend)
 {
 #if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
     switch (backend) {
-    case SimdBackend::Scalar:
+    case SimdBackend::Serial:
         return true;
-    case SimdBackend::Sse2:
-        return __builtin_cpu_supports("sse2") != 0;
     case SimdBackend::Avx2:
         return __builtin_cpu_supports("avx2") != 0;
     case SimdBackend::Avx512:
@@ -119,20 +48,17 @@ cpuSupports(SimdBackend backend)
     }
     return false;
 #else
-    return backend == SimdBackend::Scalar;
+    return backend == SimdBackend::Serial;
 #endif
 }
 
+/** The backend's row folds; empty for Serial, which has none.  With no
+    lane backend compiled in, the config goes unread. */
 detail::FoldRowFns
-resolveFold(SimdBackend backend, const SdtwConfig &config, bool use_bonus)
+resolveFold(SimdBackend backend, [[maybe_unused]] const SdtwConfig &config,
+            [[maybe_unused]] bool use_bonus)
 {
     switch (backend) {
-    case SimdBackend::Scalar:
-        break;
-#if defined(__SSE2__)
-    case SimdBackend::Sse2:
-        return detail::resolveFoldRowSse2(config, use_bonus);
-#endif
 #if defined(SF_BATCH_HAVE_AVX2)
     case SimdBackend::Avx2:
         return detail::resolveFoldRowAvx2(config, use_bonus);
@@ -142,9 +68,8 @@ resolveFold(SimdBackend backend, const SdtwConfig &config, bool use_bonus)
         return detail::resolveFoldRowAvx512(config, use_bonus);
 #endif
     default:
-        break;
+        return {};
     }
-    return detail::resolveFoldRowScalar(config, use_bonus);
 }
 
 } // namespace
@@ -153,8 +78,7 @@ const char *
 simdBackendName(SimdBackend backend)
 {
     switch (backend) {
-    case SimdBackend::Scalar: return "scalar";
-    case SimdBackend::Sse2: return "sse2";
+    case SimdBackend::Serial: return "serial";
     case SimdBackend::Avx2: return "avx2";
     case SimdBackend::Avx512: return "avx512";
     }
@@ -171,8 +95,7 @@ std::size_t
 simdLaneWidth(SimdBackend backend)
 {
     switch (backend) {
-    case SimdBackend::Scalar: return 1;
-    case SimdBackend::Sse2: return 4;
+    case SimdBackend::Serial: return 1;
     case SimdBackend::Avx2: return 8;
     case SimdBackend::Avx512: return 16;
     }
@@ -182,33 +105,11 @@ simdLaneWidth(SimdBackend backend)
 SimdBackend
 detectSimdBackend()
 {
-    if (const char *env = envString("SF_SDTW_SIMD")) {
-        const std::string want(env);
-        SimdBackend backend = SimdBackend::Scalar;
-        if (want == "scalar")
-            backend = SimdBackend::Scalar;
-        else if (want == "sse2")
-            backend = SimdBackend::Sse2;
-        else if (want == "avx2")
-            backend = SimdBackend::Avx2;
-        else if (want == "avx512")
-            backend = SimdBackend::Avx512;
-        else
-            fatal("SF_SDTW_SIMD=%s is not one of "
-                  "scalar|sse2|avx2|avx512",
-                  env);
-        if (!simdBackendAvailable(backend))
-            fatal("SF_SDTW_SIMD=%s requests a backend that is not "
-                  "available on this host",
-                  env);
-        return backend;
-    }
-    for (SimdBackend backend :
-         {SimdBackend::Avx512, SimdBackend::Avx2, SimdBackend::Sse2}) {
+    for (SimdBackend backend : {SimdBackend::Avx512, SimdBackend::Avx2}) {
         if (simdBackendAvailable(backend))
             return backend;
     }
-    return SimdBackend::Scalar;
+    return SimdBackend::Serial;
 }
 
 BatchSdtw::BatchSdtw(SdtwConfig config, std::size_t lane_capacity,
@@ -227,8 +128,6 @@ BatchSdtw::BatchSdtw(SdtwConfig config, std::size_t lane_capacity,
         std::max(kDefaultSerialCutover, width_ * 3 / 4);
     bonusUnit_ = Cost(std::llround(config.matchBonus));
     fold_ = resolveFold(backend_, config, config.matchBonus > 0.0);
-    // Strict parse: a malformed value is fatal (0 = auto-size).
-    tileCols_ = envSize("SF_SDTW_TILE_COLS", tileCols_);
 }
 
 void
@@ -315,13 +214,16 @@ BatchSdtw::processMany(std::span<BatchLane> lanes,
                        std::span<const NormSample> reference)
 {
     const bool fits = validate(lanes, reference);
-    if (!fits || lanes.size() < std::max<std::size_t>(serialCutover_, 1)) {
+    if (backend_ == SimdBackend::Serial || !fits ||
+        lanes.size() < std::max<std::size_t>(serialCutover_, 1)) {
         // Tiny batches: the serial engine (vectorised along the
         // reference) wastes no lanes.  Results are identical.  For
         // the occupancy accounting a serial fold of b jobs on a
         // W-lane machine uses 1/W of the width it could have.  A
         // call with a lane that could saturate folds here too: the
         // serial engine's adds saturate, the batched kernel's wrap.
+        // The Serial backend has no lane kernel and folds every call
+        // here.
         foldStats_.serialCalls += 1;
         foldStats_.laneJobs += lanes.size();
         foldStats_.laneSlots += lanes.size() * width_;
@@ -477,10 +379,10 @@ BatchSdtw::runBatched(std::span<BatchLane> lanes,
             if (block - r >= 8 && fold_.fold8 != nullptr) {
                 sweeps.push_back({r, fold_.fold8});
                 r += 8;
-            } else if (block - r >= 4 && fold_.fold4 != nullptr) {
+            } else if (block - r >= 4) {
                 sweeps.push_back({r, fold_.fold4});
                 r += 4;
-            } else if (block - r >= 2 && fold_.fold2 != nullptr) {
+            } else if (block - r >= 2) {
                 sweeps.push_back({r, fold_.fold2});
                 r += 2;
             } else {

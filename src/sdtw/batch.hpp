@@ -23,11 +23,13 @@
  * and leave a batch between chunks — this is what lets the kernel
  * slot underneath ClassifierStream and the streaming worker pool.
  *
- * The backend (AVX-512 / AVX2 / SSE2 / scalar) is picked by runtime
- * CPU dispatch, so binaries built with SF_KERNEL_NATIVE=OFF still run
- * everywhere; SF_SDTW_SIMD=scalar|sse2|avx2|avx512 forces a backend.
- * All backends are bit-identical to the serial QuantSdtw engine for
- * every configuration (tests/test_batch.cpp pins this).
+ * The lane kernel has two backends, AVX-512 and AVX2, picked from
+ * CPUID at run time, so binaries built with SF_KERNEL_NATIVE=OFF still
+ * run everywhere.  A host with neither gets the Serial backend: no
+ * lane kernel, every call folds on the serial engine (narrower lane
+ * kernels measured slower than it).  Both lane backends are
+ * bit-identical to the serial QuantSdtw engine for every configuration
+ * (tests/test_batch.cpp pins this).
  *
  * The batched fold adds costs without saturating.  That is exact only
  * while no cost can pass kCostMax, so each call first bounds every
@@ -47,8 +49,8 @@
  * reference.  Per-sweep horizontal register state is carried across
  * tile edges (see batch_kernel.hpp), making the tiled walk bit-exact
  * vs the untiled one.  The tile width defaults to a heuristic from
- * the detected per-core L2 size; SF_SDTW_TILE_COLS (or setTileCols())
- * overrides it, and a value >= the reference length disables tiling.
+ * the detected per-core L2 size; setTileCols() overrides it, and a
+ * value >= the reference length disables tiling.
  */
 
 #include <cstdint>
@@ -64,8 +66,7 @@ namespace sf::sdtw {
 
 /** SIMD instruction set a BatchSdtw kernel executes with. */
 enum class SimdBackend {
-    Scalar, //!< portable reference (1 lane per op)
-    Sse2,   //!< 4 epi32 lanes per op, baseline x86-64
+    Serial, //!< no lane kernel: every call folds on QuantSdtw
     Avx2,   //!< 8 epi32 lanes per op
     Avx512, //!< 16 epi32 lanes per op (F+BW+VL)
 };
@@ -79,10 +80,7 @@ bool simdBackendAvailable(SimdBackend backend);
 /** Cost lanes one vector instruction of @p backend carries. */
 std::size_t simdLaneWidth(SimdBackend backend);
 
-/**
- * Best available backend, honouring an SF_SDTW_SIMD environment
- * override (fatal when the override names an unavailable backend).
- */
+/** Best available backend: AVX-512, then AVX2, then Serial. */
 SimdBackend detectSimdBackend();
 
 /**
@@ -172,15 +170,17 @@ class BatchSdtw
      * — same costs, same refEnd, same checkpointed row/dwell, bit for
      * bit — but up to laneCapacity() lanes advance per row fold, and
      * retired lanes are refilled from the remaining ones.  Calls
-     * below the serial cutover, or with a lane whose costs could
-     * saturate, run the serial engine instead.
+     * below the serial cutover, with a lane whose costs could
+     * saturate, or on the Serial backend run the serial engine
+     * instead.
      */
     void processMany(std::span<BatchLane> lanes,
                      std::span<const NormSample> reference);
 
     /**
      * Serial-vs-batched crossover threshold; 0 or 1 forces every call
-     * through the batched path (used by tests and benches).
+     * through the batched path (used by tests and benches).  The
+     * Serial backend ignores it.
      */
     void setSerialCutover(std::size_t min_lanes);
 
@@ -189,8 +189,7 @@ class BatchSdtw
      * (sized so one tile's interleaved cost/dwell working set fits in
      * about half the detected per-core L2), any other value forces
      * that many columns per tile — tests force tiny tiles, benches
-     * force SIZE_MAX for an untiled A/B.  The SF_SDTW_TILE_COLS
-     * environment knob sets the same override at construction.
+     * force SIZE_MAX for an untiled A/B.
      */
     void setTileCols(std::size_t cols);
     /** The configured override (0 = auto heuristic). */

@@ -12,10 +12,10 @@
  * call — the inter-sequence parallelisation of the classic SIMD
  * Smith-Waterman trick, applied to the paper's sDTW recurrence.
  *
- * Each backend translation unit (scalar in batch.cpp, batch_sse2.cpp,
- * batch_avx2.cpp, batch_avx512.cpp) instantiates the template below
- * with its own `Ops` vector-trait struct and exports a resolver that
- * maps an SdtwConfig onto the right specialisation.  The recurrence is
+ * Each backend translation unit (batch_avx2.cpp, batch_avx512.cpp)
+ * instantiates the template below with its own `Ops` vector-trait
+ * struct and exports a resolver that maps an SdtwConfig onto the right
+ * specialisation.  The recurrence is
  * kept expression-for-expression identical to SdtwEngine::foldRow in
  * engine.cpp: batched costs are bit-exact against the serial engine
  * for every configuration (enforced by tests/test_batch.cpp).
@@ -123,7 +123,7 @@ struct FoldRowFns
     FoldRowFn fold1 = nullptr; //!< 1 row per sweep
     FoldRowFn fold2 = nullptr; //!< 2 rows per sweep
     FoldRowFn fold4 = nullptr; //!< 4 rows per sweep
-    FoldRowFn fold8 = nullptr; //!< 8 rows per sweep
+    FoldRowFn fold8 = nullptr; //!< 8 rows per sweep (kMaxStrip 8 only)
 };
 
 /** Pointwise cost with the metric resolved at compile time. */
@@ -359,10 +359,8 @@ resolveFoldRow(const SdtwConfig &config, bool use_bonus)
         // budget the spills cost more than the amortisation saves.
         FoldRowFns fns;
         fns.fold1 = &foldRowBatch<Ops, S, R, B, 1>;
-        if constexpr (Ops::kMaxStrip >= 2)
-            fns.fold2 = &foldRowBatch<Ops, S, R, B, 2>;
-        if constexpr (Ops::kMaxStrip >= 4)
-            fns.fold4 = &foldRowBatch<Ops, S, R, B, 4>;
+        fns.fold2 = &foldRowBatch<Ops, S, R, B, 2>;
+        fns.fold4 = &foldRowBatch<Ops, S, R, B, 4>;
         if constexpr (Ops::kMaxStrip >= 8)
             fns.fold8 = &foldRowBatch<Ops, S, R, B, 8>;
         return fns;
@@ -394,10 +392,6 @@ resolveFoldRow(const SdtwConfig &config, bool use_bonus)
 // Per-backend resolvers, defined in their own translation units so
 // each can be compiled with exactly the ISA flags it needs and picked
 // at runtime by CPU dispatch (see batch.cpp).
-FoldRowFns resolveFoldRowScalar(const SdtwConfig &config, bool use_bonus);
-#if defined(__SSE2__)
-FoldRowFns resolveFoldRowSse2(const SdtwConfig &config, bool use_bonus);
-#endif
 #if defined(SF_BATCH_HAVE_AVX2)
 FoldRowFns resolveFoldRowAvx2(const SdtwConfig &config, bool use_bonus);
 #endif

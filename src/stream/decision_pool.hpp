@@ -16,7 +16,6 @@
  *    any Asic session registered), built on the caller's thread so a
  *    configuration the backend cannot support fatals before any
  *    worker thread exists;
- *  - node-compact worker pinning;
  *  - the popBatch -> fold loop, one fold per dispatch;
  *  - the dispatch, class, backend and SIMD-lane counters, readable
  *    mid-run.

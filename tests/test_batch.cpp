@@ -5,6 +5,9 @@
  * configuration, across ragged batches, lane refills, and
  * checkpointed enter/leave-the-batch streaming — plus the batched
  * classifier paths (feedChunkBatch, processBatch) that ride on it.
+ * Result-equality tests run the Serial backend too, so a host without
+ * a lane kernel still exercises BatchSdtw; tests of the batched path
+ * itself run the lane backends only.
  */
 
 #include <gtest/gtest.h>
@@ -33,16 +36,25 @@ randomQuantSignal(std::size_t n, Rng &rng)
     return out;
 }
 
+/** The lane-kernel backends this host can execute. */
 std::vector<SimdBackend>
-availableBackends()
+laneBackends()
 {
     std::vector<SimdBackend> out;
-    for (SimdBackend backend :
-         {SimdBackend::Scalar, SimdBackend::Sse2, SimdBackend::Avx2,
-          SimdBackend::Avx512}) {
+    for (SimdBackend backend : {SimdBackend::Avx2, SimdBackend::Avx512}) {
         if (simdBackendAvailable(backend))
             out.push_back(backend);
     }
+    return out;
+}
+
+/** Serial plus every lane backend this host can execute. */
+std::vector<SimdBackend>
+availableBackends()
+{
+    std::vector<SimdBackend> out{SimdBackend::Serial};
+    for (SimdBackend backend : laneBackends())
+        out.push_back(backend);
     return out;
 }
 
@@ -102,11 +114,36 @@ expectMatchesSerial(const SdtwConfig &config,
 //                      backend plumbing                             //
 // ---------------------------------------------------------------- //
 
-TEST(BatchSimd, ScalarBackendAlwaysAvailable)
+TEST(BatchSimd, SerialBackendFoldsEveryCallSerially)
 {
-    EXPECT_TRUE(simdBackendAvailable(SimdBackend::Scalar));
-    EXPECT_EQ(simdLaneWidth(SimdBackend::Scalar), 1u);
-    EXPECT_STREQ(simdBackendName(SimdBackend::Scalar), "scalar");
+    EXPECT_TRUE(simdBackendAvailable(SimdBackend::Serial));
+    EXPECT_EQ(simdLaneWidth(SimdBackend::Serial), 1u);
+    EXPECT_STREQ(simdBackendName(SimdBackend::Serial), "serial");
+
+    // A full 16-lane call with the cutover forced to 0 still folds on
+    // the serial engine: the Serial backend has no lane kernel.
+    Rng rng(0x5e1aULL);
+    const auto ref = randomQuantSignal(120, rng);
+    constexpr std::size_t kLanes = 16;
+    std::vector<std::vector<NormSample>> queries(kLanes);
+    std::vector<QuantSdtw::State> states(kLanes);
+    std::vector<BatchLane> lanes(kLanes);
+    for (std::size_t i = 0; i < kLanes; ++i) {
+        queries[i] =
+            randomQuantSignal(std::size_t(rng.uniformInt(1, 80)), rng);
+        lanes[i].state = &states[i];
+        lanes[i].query = queries[i];
+    }
+    BatchSdtw kernel(hardwareConfig(), kLanes, SimdBackend::Serial);
+    kernel.setSerialCutover(0);
+    kernel.processMany(lanes, ref);
+    const FoldStats &fs = kernel.foldStats();
+    EXPECT_EQ(fs.serialCalls, 1u);
+    EXPECT_EQ(fs.batchedCalls, 0u);
+    EXPECT_EQ(fs.laneJobs, kLanes);
+    EXPECT_EQ(fs.laneSlots, fs.laneJobs);
+    expectMatchesSerial(hardwareConfig(), lanes, ref,
+                        std::vector<QuantSdtw::State>(kLanes), "serial");
 }
 
 TEST(BatchSimd, DetectedBackendIsAvailable)
@@ -486,7 +523,7 @@ TEST(BatchSdtwTest, CeilingRoutesUnprovableCallsSerially)
             std::fill(queries[0].begin(), queries[0].end(),
                       NormSample(127));
 
-            for (SimdBackend backend : availableBackends()) {
+            for (SimdBackend backend : laneBackends()) {
                 std::vector<QuantSdtw::State> batch_states = states;
                 std::vector<BatchLane> lanes(kLanes);
                 for (std::size_t i = 0; i < kLanes; ++i) {
@@ -585,8 +622,8 @@ TEST(BatchSdtwTest, DifferentialAgainstPlainDpRandomConfigs)
 {
     // Seeded draws over metric x ref-del x bonus x dwell cap x lane
     // count x tile width x chunk split: the serial engine and every
-    // available backend, forced onto the batched path, against the
-    // plain DP.  The bonus set covers off, the
+    // available backend, lane backends forced onto the batched path,
+    // against the plain DP.  The bonus set covers off, the
     // shift reward (1, 2, 2^22 — the deepest pre-scaled shift), the
     // multiply reward (3) and a power of two too large to pre-scale
     // (2^23: 256 << 23 overflows an int32).
@@ -673,7 +710,10 @@ TEST(BatchSdtwTest, DifferentialAgainstPlainDpRandomConfigs)
                 }
                 kernel.processMany(lanes, ref);
             }
-            ASSERT_EQ(kernel.foldStats().serialCalls, 0u);
+            const FoldStats &fs = kernel.foldStats();
+            ASSERT_EQ(backend == SimdBackend::Serial ? fs.batchedCalls
+                                                     : fs.serialCalls,
+                      0u);
             for (std::size_t i = 0; i < n_lanes; ++i) {
                 const std::string label =
                     std::string(simdBackendName(backend)) + " draw " +
@@ -889,18 +929,15 @@ TEST(BatchTilingTest, MidBatchRefillInsideATile)
     }
 }
 
-TEST(BatchTilingTest, TileColsEnvKnobParsesAndOverrides)
+TEST(BatchTilingTest, TileColsOverrideAndAutoPlan)
 {
-    ASSERT_EQ(setenv("SF_SDTW_TILE_COLS", "9", 1), 0);
-    {
-        const BatchSdtw kernel(hardwareConfig());
-        EXPECT_EQ(kernel.tileCols(), 9u);
-        EXPECT_EQ(kernel.planTileCols(100, 4), 9u);
-        EXPECT_EQ(kernel.planTileCols(5, 4), 5u); // clamped to ref
-    }
-    ASSERT_EQ(unsetenv("SF_SDTW_TILE_COLS"), 0);
     BatchSdtw kernel(hardwareConfig());
     EXPECT_EQ(kernel.tileCols(), 0u); // auto heuristic
+    kernel.setTileCols(9);
+    EXPECT_EQ(kernel.tileCols(), 9u);
+    EXPECT_EQ(kernel.planTileCols(100, 4), 9u);
+    EXPECT_EQ(kernel.planTileCols(5, 4), 5u); // clamped to ref
+    kernel.setTileCols(0);
     const std::size_t ref_len = std::size_t(1) << 20;
     const std::size_t t = kernel.planTileCols(ref_len, 16);
     EXPECT_GE(t, 1u);
@@ -921,26 +958,29 @@ TEST(BatchTilingTest, FoldStatsCountTilesAndBlocks)
     for (auto &q : queries)
         q = randomQuantSignal(30, rng); // equal lengths: one block
 
-    const auto fold = [&](std::size_t tile) {
-        std::vector<QuantSdtw::State> states(b);
-        std::vector<BatchLane> lanes(b);
-        for (std::size_t i = 0; i < b; ++i) {
-            lanes[i].state = &states[i];
-            lanes[i].query = queries[i];
-        }
-        BatchSdtw kernel(hardwareConfig());
-        kernel.setSerialCutover(0);
-        kernel.setTileCols(tile);
-        kernel.processMany(lanes, ref);
-        return kernel.foldStats();
-    };
+    for (SimdBackend backend : laneBackends()) {
+        const auto fold = [&](std::size_t tile) {
+            std::vector<QuantSdtw::State> states(b);
+            std::vector<BatchLane> lanes(b);
+            for (std::size_t i = 0; i < b; ++i) {
+                lanes[i].state = &states[i];
+                lanes[i].query = queries[i];
+            }
+            BatchSdtw kernel(hardwareConfig(),
+                             BatchSdtw::kDefaultLaneCapacity, backend);
+            kernel.setSerialCutover(0);
+            kernel.setTileCols(tile);
+            kernel.processMany(lanes, ref);
+            return kernel.foldStats();
+        };
 
-    const FoldStats tiled = fold(10); // ceil(95 / 10) = 10 tiles
-    EXPECT_EQ(tiled.rowBlocks, 1u);
-    EXPECT_EQ(tiled.colTiles, 10u);
-    const FoldStats untiled = fold(SIZE_MAX);
-    EXPECT_EQ(untiled.rowBlocks, 1u);
-    EXPECT_EQ(untiled.colTiles, 1u);
+        const FoldStats tiled = fold(10); // ceil(95 / 10) = 10 tiles
+        EXPECT_EQ(tiled.rowBlocks, 1u) << simdBackendName(backend);
+        EXPECT_EQ(tiled.colTiles, 10u) << simdBackendName(backend);
+        const FoldStats untiled = fold(SIZE_MAX);
+        EXPECT_EQ(untiled.rowBlocks, 1u) << simdBackendName(backend);
+        EXPECT_EQ(untiled.colTiles, 1u) << simdBackendName(backend);
+    }
 }
 
 // ---------------------------------------------------------------- //

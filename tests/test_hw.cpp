@@ -121,8 +121,8 @@ TEST_P(SystolicEquivalenceTest, LaneBatchedKernelMatchesSystolicArray)
         q = randomQuantSignal(std::size_t(rng.uniformInt(1, 64)), rng);
 
     for (sdtw::SimdBackend backend :
-         {sdtw::SimdBackend::Scalar, sdtw::SimdBackend::Sse2,
-          sdtw::SimdBackend::Avx2, sdtw::SimdBackend::Avx512}) {
+         {sdtw::SimdBackend::Serial, sdtw::SimdBackend::Avx2,
+          sdtw::SimdBackend::Avx512}) {
         if (!sdtw::simdBackendAvailable(backend))
             continue;
         std::vector<sdtw::QuantSdtw::State> states(kReads);
