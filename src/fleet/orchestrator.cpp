@@ -109,6 +109,8 @@ FleetSnapshot::toJson() const
     appendNumber(j, dispatchedRequests);
     j += ",\"mean_batch\":";
     appendNumber(j, meanBatchSize);
+    j += ",\"helped_dispatches\":";
+    appendNumber(j, helpedDispatches);
     j += ",\"lane_jobs\":";
     appendNumber(j, laneJobs);
     j += ",\"lane_slots\":";
@@ -152,6 +154,8 @@ FleetSnapshot::toJson() const
         appendNumber(j, s.chunksEmitted);
         j += ",\"decisions\":";
         appendNumber(j, s.decisions);
+        j += ",\"helped_dispatches\":";
+        appendNumber(j, s.helpedDispatches);
         j += ",\"finished\":";
         j += s.finished ? "true" : "false";
         j += ",\"degradation\":{";
@@ -235,7 +239,8 @@ FleetOrchestrator::run()
     pool_.start(sessions_.front()->spec.classifier->config(), asicSpec_);
 
     // One driver thread per session: each runs its own virtual-time
-    // event loop and blocks (backpressure) independently.
+    // event loop and waits (backpressure, decisions) independently,
+    // folding queued work of any session while it waits.
     std::vector<std::thread> drivers;
     drivers.reserve(sessions_.size());
     for (std::size_t i = 0; i < sessions_.size(); ++i) {
@@ -263,6 +268,8 @@ FleetOrchestrator::run()
     for (std::size_t i = 0; i < sessions_.size(); ++i) {
         SessionState &state = *sessions_[i];
         state.result.stats.hwModel = pool_.modeledStats(std::uint32_t(i));
+        state.result.stats.helpedDispatches =
+            pool_.helpedDispatches(std::uint32_t(i));
         out.sessions.push_back(SessionOutcome{
             state.spec.name, state.spec.qos, std::move(state.result)});
     }
@@ -296,6 +303,7 @@ FleetOrchestrator::snapshot() const
         snap.dispatches > 0
             ? double(snap.dispatchedRequests) / double(snap.dispatches)
             : 0.0;
+    snap.helpedDispatches = rel(pool.helpedDispatches);
     snap.laneJobs = rel(pool.laneJobs);
     snap.laneSlots = rel(pool.laneSlots);
     snap.laneOccupancy =
@@ -319,6 +327,7 @@ FleetOrchestrator::snapshot() const
             state.live.chunksEmitted.load(std::memory_order_relaxed);
         s.decisions =
             state.live.decisions.load(std::memory_order_relaxed);
+        s.helpedDispatches = pool_.helpedDispatches(std::uint32_t(i));
         s.finished =
             state.live.finished.load(std::memory_order_acquire);
 

@@ -103,6 +103,9 @@ struct SessionSnapshot
     std::size_t queueDepth = 0;        //!< requests queued right now
     std::uint64_t chunksEmitted = 0;
     std::uint64_t decisions = 0;
+    /** Dispatches this session's driver folded itself while it
+        waited, rather than a pool worker. */
+    std::uint64_t helpedDispatches = 0;
     bool finished = false;
     FaultLedger faults; //!< this session's degradation ledger
     /** Live per-channel wear histogram (kWearBuckets bins of [0,1]).
@@ -117,9 +120,11 @@ struct FleetSnapshot
     double wallSeconds = 0.0;          //!< since run() started
     std::uint64_t chunksEmitted = 0;   //!< across all sessions
     double chunksPerSec = 0.0;         //!< aggregate sustained rate
-    std::uint64_t dispatches = 0;      //!< worker batch pulls
+    std::uint64_t dispatches = 0;      //!< batch pulls, helped included
     std::uint64_t dispatchedRequests = 0;
     double meanBatchSize = 0.0;
+    /** Dispatches folded on a session driver rather than a worker. */
+    std::uint64_t helpedDispatches = 0;
     /** SIMD lane telemetry: laneJobs/laneSlots = occupancy in [0,1];
         serial-engine folds count 1/width per lane slot burned. */
     std::uint64_t laneJobs = 0;

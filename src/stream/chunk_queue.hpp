@@ -29,6 +29,12 @@
  * blocks — throttling the pushing session's capture clock in wall
  * time — and never drops.  Blocking waits are woken by close().
  *
+ * A thread that would otherwise block on the queue's work — a
+ * session's event loop facing a full queue or awaiting a decision —
+ * may fold queued work itself: tryPush() and tryPopBatch() never
+ * block, and tryPopBatch() takes work only when the workers would not
+ * miss it (see there).
+ *
  * BoundedQueue is the single-class, single-session front over the
  * same queue: a plain blocking FIFO.
  */
@@ -68,12 +74,20 @@ qosClassName(QosClass cls)
  * admission quotas.  push blocks under backpressure and returns false
  * only when closed; popBatch drains up to a batch and returns false
  * when closed and empty; dispatches follow the Stat-over-Research
- * policy above.
+ * policy above.  tryPush and tryPopBatch are their non-blocking
+ * twins.
  */
 template <typename T>
 class QosBoundedQueue
 {
   public:
+    /** Outcome of a non-blocking push. */
+    enum class PushResult {
+        Pushed,  //!< enqueued
+        Refused, //!< at capacity or over quota; nothing enqueued
+        Closed,  //!< queue closed; nothing enqueued
+    };
+
     /**
      * @param capacity  total items held across both classes; > 0
      * @param statBurst consecutive Stat dispatches after which a
@@ -112,40 +126,24 @@ class QosBoundedQueue
      * capacity or the session is over its admission quota.  The block
      * is the backpressure: the session's capture clock stalls in wall
      * time (its virtual-time log is unaffected) and no chunk is ever
-     * dropped.  Returns false if the queue was closed.
+     * dropped.  A push that blocks counts one stall, unless
+     * @p stalled says a refused tryPush() of the same item already
+     * counted it.  Returns false if the queue was closed.
      */
     bool
-    push(std::uint32_t session, T item)
+    push(std::uint32_t session, T item, bool stalled = false)
     {
         std::unique_lock lock(mutex_);
-        if (session >= sessions_.size())
-            fatal("QosBoundedQueue push from unregistered session %u",
-                  unsigned(session));
-        SessionSlot &slot = sessions_[session];
+        SessionSlot &slot = slotLocked(session);
         const auto admitted_or_closed = [&] {
-            return closed_ ||
-                   (total_ < capacity_ &&
-                    (slot.quota == 0 || slot.depth < slot.quota));
+            return closed_ || admittedLocked(slot);
         };
-        if (!admitted_or_closed()) {
-            // Backpressure stall: the push is about to block (queue
-            // at capacity or session over quota).  Wall-clock-only
-            // observability — a storm that saturates the queue shows
-            // up here, never as a dropped chunk.
-            ++slot.stalls;
-            ++stalls_;
-        }
+        if (!admitted_or_closed() && !stalled)
+            countStallLocked(slot);
         notFull_.wait(lock, admitted_or_closed);
         if (closed_)
             return false;
-        items_[std::size_t(slot.cls)].push_back(
-            Entry{session, std::move(item)});
-        ++slot.depth;
-        ++total_;
-        if (total_ > capacity_)
-            panic("QosBoundedQueue overfilled: %zu items in a queue "
-                  "of capacity %zu (lost wakeup or predicate bug)",
-                  total_, capacity_);
+        enqueueLocked(session, slot, std::move(item));
         lock.unlock();
         // notify_all, not notify_one: consumers wait on notEmpty_
         // with two different predicates (arrival wait: any work;
@@ -155,6 +153,32 @@ class QosBoundedQueue
         // for up to the full linger deadline.
         notEmpty_.notify_all();
         return true;
+    }
+
+    /**
+     * Non-blocking push: enqueue @p item (moved from only when
+     * Pushed) if @p session is admitted right now.  A refusal is a
+     * backpressure stall, counted once per item: pass @p stalled =
+     * true on every retry after the first refusal, and to the
+     * blocking push() that may end the retries, so a push that
+     * helped before it entered the queue counts exactly one stall.
+     */
+    PushResult
+    tryPush(std::uint32_t session, T &item, bool stalled)
+    {
+        std::unique_lock lock(mutex_);
+        SessionSlot &slot = slotLocked(session);
+        if (closed_)
+            return PushResult::Closed;
+        if (!admittedLocked(slot)) {
+            if (!stalled)
+                countStallLocked(slot);
+            return PushResult::Refused;
+        }
+        enqueueLocked(session, slot, std::move(item));
+        lock.unlock();
+        notEmpty_.notify_all(); // see push()
+        return PushResult::Pushed;
     }
 
     /**
@@ -188,6 +212,9 @@ class QosBoundedQueue
         if (max_items == 0)
             fatal("QosBoundedQueue batch size must be positive");
         std::unique_lock lock(mutex_);
+        // Every moment another thread can observe this consumer
+        // between here and the take below, it waits for work: idle.
+        ++idleConsumers_;
         for (;;) {
             notEmpty_.wait(lock,
                            [&] { return closed_ || total_ > 0; });
@@ -203,35 +230,44 @@ class QosBoundedQueue
                 });
             if (total_ > 0)
                 break;
-            if (closed_)
+            if (closed_) {
+                --idleConsumers_;
                 return false; // closed and drained
+            }
             // The linger wait released the mutex and a concurrent
             // worker drained the still-open queue: go back to waiting
             // for new work — returning false here would permanently
             // retire this worker's dispatch loop.
         }
 
-        const QosClass cls = dispatchClassLocked();
-        if (cls == QosClass::Stat)
-            ++statStreak_;
-        else
-            statStreak_ = 0;
+        --idleConsumers_;
+        takeLocked(out, max_items, served);
+        lock.unlock();
+        notFull_.notify_all();
+        return true;
+    }
 
-        auto &queue = items_[std::size_t(cls)];
-        const std::size_t take = std::min(max_items, queue.size());
-        for (std::size_t i = 0; i < take; ++i) {
-            Entry &entry = queue.front();
-            SessionSlot &slot = sessions_[entry.session];
-            if (slot.depth == 0)
-                panic("QosBoundedQueue depth underflow for session "
-                      "%u", unsigned(entry.session));
-            --slot.depth;
-            out.push_back(std::move(entry.item));
-            queue.pop_front();
-        }
-        total_ -= take;
-        if (served != nullptr)
-            *served = cls;
+    /**
+     * Non-blocking pop for a thread that would otherwise block on
+     * this queue's work: take exactly @p batch items of the class
+     * popBatch() would serve (same choice, same starvation streak),
+     * or nothing.  It takes them only while no consumer waits in
+     * popBatch() — an idle worker folds them instead — and while the
+     * class holds at least two full batches, so the workers still
+     * find a full batch after this one.  A helper thus never folds
+     * work a worker would have folded, and never leaves the workers
+     * the thin remainder of a batch.  Returns whether it took a batch.
+     */
+    bool
+    tryPopBatch(std::vector<T> &out, std::size_t batch,
+                QosClass *served = nullptr)
+    {
+        if (batch == 0)
+            fatal("QosBoundedQueue batch size must be positive");
+        std::unique_lock lock(mutex_);
+        if (idleConsumers_ > 0 || dispatchDepthLocked() < 2 * batch)
+            return false;
+        takeLocked(out, batch, served);
         lock.unlock();
         notFull_.notify_all();
         return true;
@@ -261,7 +297,8 @@ class QosBoundedQueue
                                           : 0;
     }
 
-    /** Pushes of @p session that blocked (backpressure stalls). */
+    /** Pushes of @p session refused room (backpressure stalls),
+        one per item however often it retried. */
     std::uint64_t
     stalls(std::uint32_t session) const
     {
@@ -270,7 +307,7 @@ class QosBoundedQueue
                                           : 0;
     }
 
-    /** Total pushes that blocked, across every session. */
+    /** Total backpressure stalls, across every session. */
     std::uint64_t
     totalStalls() const
     {
@@ -295,7 +332,7 @@ class QosBoundedQueue
         QosClass cls = QosClass::Research;
         std::size_t quota = 0;     //!< 0 = unlimited
         std::size_t depth = 0;     //!< queued requests right now
-        std::uint64_t stalls = 0;  //!< pushes that had to block
+        std::uint64_t stalls = 0;  //!< pushes refused room
     };
 
     /** A queued item and the session that pushed it. */
@@ -304,6 +341,79 @@ class QosBoundedQueue
         std::uint32_t session = 0;
         T item;
     };
+
+    /** The slot of a registered @p session; caller holds mutex_. */
+    SessionSlot &
+    slotLocked(std::uint32_t session)
+    {
+        if (session >= sessions_.size())
+            fatal("QosBoundedQueue push from unregistered session %u",
+                  unsigned(session));
+        return sessions_[session];
+    }
+
+    /** Room in the queue and in @p slot's quota; caller holds mutex_. */
+    bool
+    admittedLocked(const SessionSlot &slot) const
+    {
+        return total_ < capacity_ &&
+               (slot.quota == 0 || slot.depth < slot.quota);
+    }
+
+    /** Backpressure stall: a push found no room.  Wall-clock-only
+        observability — a storm that saturates the queue shows up
+        here, never as a dropped chunk.  Caller holds mutex_. */
+    void
+    countStallLocked(SessionSlot &slot)
+    {
+        ++slot.stalls;
+        ++stalls_;
+    }
+
+    /** Append @p item to @p session's class; caller holds mutex_ and
+        checked admittedLocked(). */
+    void
+    enqueueLocked(std::uint32_t session, SessionSlot &slot, T &&item)
+    {
+        items_[std::size_t(slot.cls)].push_back(
+            Entry{session, std::move(item)});
+        ++slot.depth;
+        ++total_;
+        if (total_ > capacity_)
+            panic("QosBoundedQueue overfilled: %zu items in a queue "
+                  "of capacity %zu (lost wakeup or predicate bug)",
+                  total_, capacity_);
+    }
+
+    /** Take up to @p max_items of the class a dispatch serves now
+        into @p out and advance the starvation streak; caller holds
+        mutex_ and saw total_ > 0. */
+    void
+    takeLocked(std::vector<T> &out, std::size_t max_items,
+               QosClass *served)
+    {
+        const QosClass cls = dispatchClassLocked();
+        if (cls == QosClass::Stat)
+            ++statStreak_;
+        else
+            statStreak_ = 0;
+
+        auto &queue = items_[std::size_t(cls)];
+        const std::size_t take = std::min(max_items, queue.size());
+        for (std::size_t i = 0; i < take; ++i) {
+            Entry &entry = queue.front();
+            SessionSlot &slot = sessions_[entry.session];
+            if (slot.depth == 0)
+                panic("QosBoundedQueue depth underflow for session "
+                      "%u", unsigned(entry.session));
+            --slot.depth;
+            out.push_back(std::move(entry.item));
+            queue.pop_front();
+        }
+        total_ -= take;
+        if (served != nullptr)
+            *served = cls;
+    }
 
     /** Class a dispatch entered right now would serve — the same
         Stat-first / starvation-bound policy popBatch applies, minus
@@ -337,7 +447,8 @@ class QosBoundedQueue
     std::size_t statBurst_ = 1;
     std::size_t statStreak_ = 0; //!< consecutive Stat dispatches
     std::size_t total_ = 0;
-    std::uint64_t stalls_ = 0;   //!< pushes that blocked, all sessions
+    std::size_t idleConsumers_ = 0; //!< consumers waiting in popBatch
+    std::uint64_t stalls_ = 0;   //!< pushes refused room, all sessions
     bool closed_ = false;
 };
 

@@ -12,11 +12,15 @@
  * sessions of both QoS classes on one pool.  Either way the pool owns
  * the same parts:
  *  - one QosBoundedQueue (backpressure, QoS classes, admission);
- *  - one DecisionBackend per worker (the modelled-ASIC decorator when
- *    any Asic session registered), built on the caller's thread so a
- *    configuration the backend cannot support fatals before any
- *    worker thread exists;
- *  - the popBatch -> fold loop, one fold per dispatch;
+ *  - one DecisionBackend per worker and one per registered session
+ *    (the modelled-ASIC decorator when any Asic session registered),
+ *    built on the caller's thread so a configuration the backend
+ *    cannot support fatals before any worker thread exists;
+ *  - the popBatch -> fold loop, one fold per dispatch, and help():
+ *    a session's event loop that would block on a full queue or an
+ *    unfinished decision folds a full queued dispatch on its own
+ *    engine instead (QosBoundedQueue::tryPopBatch says when) — the
+ *    same dispatch body a worker runs;
  *  - the dispatch, class, backend and SIMD-lane counters, readable
  *    mid-run.
  */
@@ -25,6 +29,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -71,8 +76,12 @@ struct PoolCounters
 {
     using Counter = std::atomic<std::uint64_t>;
 
-    Counter dispatches{0};         //!< worker batch pulls
+    Counter dispatches{0};         //!< batch pulls, helped included
     Counter dispatchedRequests{0}; //!< requests across them
+    /** Dispatches folded on a session's event loop (help()) rather
+        than on a worker, and the requests across them. */
+    Counter helpedDispatches{0};
+    Counter helpedRequests{0};
     /** SIMD lane telemetry: laneJobs/laneSlots = occupancy. */
     Counter laneJobs{0};
     Counter laneSlots{0};
@@ -115,8 +124,13 @@ class DecisionPool final : public DecisionService
      */
     void start(const sdtw::SdtwConfig &kernel, const AsicSpec &asic);
 
-    /** Enqueue for the workers; blocks under backpressure. */
+    /** Enqueue for the workers.  While the queue refuses the push,
+        help(request.sessionId); block only when that folds nothing. */
     bool submit(DecisionRequest request) override;
+
+    /** Fold one full queued dispatch on session @p session_id's
+        engine, if QosBoundedQueue::tryPopBatch() yields one. */
+    bool help(std::uint32_t session_id) override;
 
     /** Close the queue and join the workers (idempotent).  Queued
         requests are folded first, so no completion is stranded. */
@@ -129,20 +143,44 @@ class DecisionPool final : public DecisionService
     const QosBoundedQueue<DecisionRequest> &queue() const { return queue_; }
 
     /** Modelled-hardware ledger of session @p session_id, summed
-        over the workers; call after shutdown(). */
+        over every engine, workers' and helpers'; call after
+        shutdown(). */
     ModeledHwStats modeledStats(std::uint32_t session_id) const;
+
+    /** Dispatches session @p session_id's event loop folded itself
+        (relaxed: exact once its event loop returned). */
+    std::uint64_t helpedDispatches(std::uint32_t session_id) const;
 
     /** The configuration in effect (workers resolved). */
     const PoolConfig &config() const { return config_; }
 
   private:
-    void workerMain(DecisionBackend &backend);
+    /** One thread's decision engine: a worker's, or the helper engine
+        of one session's event loop.  Only its owner thread touches it
+        until shutdown(). */
+    struct Engine
+    {
+        std::unique_ptr<DecisionBackend> backend;
+        std::vector<DecisionRequest> batch;
+        /** Lane jobs and slots already published to the counters. */
+        std::uint64_t publishedJobs = 0;
+        std::uint64_t publishedSlots = 0;
+    };
+
+    void workerMain(Engine &engine);
+    /** The one dispatch body: counters, backend check, fold, lane
+        telemetry; folds and clears engine.batch. */
+    void dispatch(Engine &engine, QosClass served);
 
     PoolConfig config_;
     QosBoundedQueue<DecisionRequest> queue_;
     /** Backend kinds some registered session selected. */
     std::array<bool, kDecisionBackendKinds> kindInUse_{};
-    std::vector<std::unique_ptr<DecisionBackend>> backends_; //!< per worker
+    /** Per registered session: dispatches its event loop folded
+        (a deque, so registering never moves a counter). */
+    std::deque<PoolCounters::Counter> helpedBySession_;
+    /** config_.workers worker engines, then one per session. */
+    std::vector<Engine> engines_;
     PoolCounters counters_;
     std::vector<std::thread> workers_; //!< last: uses every member above
 };

@@ -14,7 +14,8 @@
  * outrunning session is throttled at capture time and chunks are
  * never dropped — and awaits completion on its session-owned
  * CompletionBoard, while the worker side folds each dispatch's
- * requests as SIMD lane batches with SoftwareBackend::fold().
+ * requests as SIMD lane batches with SoftwareBackend::fold().  An
+ * event loop about to block may help() fold queued work instead.
  */
 
 #include <array>
@@ -87,6 +88,14 @@ class CompletionBoard
         // so the woken waiter must not be able to get past the mutex
         // until this thread is fully out of the condition variable.
         cv_.notify_all();
+    }
+
+    /** Whether @p slot has no request in flight (non-blocking). */
+    bool
+    ready(std::size_t slot)
+    {
+        std::lock_guard lock(mutex_);
+        return ready_[slot] != 0;
     }
 
     /** Block until @p slot's in-flight request completed. */
@@ -183,6 +192,16 @@ class DecisionService
      * been shut down; no completion will arrive in that case.
      */
     virtual bool submit(DecisionRequest request) = 0;
+
+    /**
+     * Fold one queued dispatch on the calling thread, the event loop
+     * of session @p session_id, which would otherwise block waiting
+     * for a decision.  Returns whether it folded one; the default
+     * folds nothing.  Helping moves wall time only: every decision
+     * still applies at its virtual DecisionApply time.  Call only
+     * from the thread that runs that session's event loop.
+     */
+    virtual bool help(std::uint32_t /*session_id*/) { return false; }
 };
 
 /**

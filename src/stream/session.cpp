@@ -112,6 +112,12 @@ struct Channel
  *      stream writes before 4)
  *   4. event loop: DecisionApply calls board.await(c), then reads
  *      channels[c].stream.
+ * While it waits — for slot c in step 4, or for room in a full queue
+ * in step 1 — the event loop may fold queued requests of any channel
+ * or session itself (DecisionService::help).  It then plays the
+ * worker in steps 2 and 3 under the same protocol; a decision still
+ * applies only at its virtual DecisionApply time, so helping moves
+ * wall time only.
  * The epoch guard makes events for finished reads no-ops, and the
  * exclusive-ownership invariant of step 2 is asserted (duplicate
  * in-flight requests and double completions panic instead of
@@ -153,6 +159,13 @@ runEventLoop(const sdtw::SquiggleFilterClassifier &classifier,
             channels.size(), std::memory_order_relaxed);
 
     CompletionBoard board(channels.size());
+    // Await slot c's decision, folding queued work while it is not
+    // ready instead of sleeping.
+    const auto await_decision = [&](std::size_t c) {
+        while (!board.ready(c) && service.help(session_id)) {
+        }
+        board.await(c);
+    };
 
     // ---- virtual-time event loop -----------------------------------
     std::priority_queue<Event, std::vector<Event>, EventAfter> events;
@@ -292,7 +305,7 @@ runEventLoop(const sdtw::SquiggleFilterClassifier &classifier,
      */
     const auto abort_read = [&](Channel &ch, int c) {
         if (ch.inFlight) {
-            board.await(std::size_t(c));
+            await_decision(std::size_t(c));
             ch.inFlight = false;
         }
         const double sequenced =
@@ -400,7 +413,7 @@ runEventLoop(const sdtw::SquiggleFilterClassifier &classifier,
         }
 
         case EventType::DecisionApply: {
-            board.await(std::size_t(ev.channel));
+            await_decision(std::size_t(ev.channel));
             ch.inFlight = false;
             ++stats.decisions;
             if (live != nullptr)
@@ -554,7 +567,7 @@ runEventLoop(const sdtw::SquiggleFilterClassifier &classifier,
     // loop (the caller joins/owns them), so every await terminates.
     for (std::size_t c = 0; c < channels.size(); ++c)
         if (channels[c].inFlight)
-            board.await(c);
+            await_decision(c);
 
     const double wall_sec =
         std::chrono::duration<double>(Clock::now() - wall_start).count();
@@ -671,6 +684,7 @@ ReadUntilSession::run(std::span<const signal::ReadRecord> reads) const
         wall_sec > 0.0 ? double(out.stats.chunksEmitted) / wall_sec : 0.0;
     const PoolCounters &counters = pool.counters();
     out.stats.dispatches = counters.dispatches;
+    out.stats.helpedDispatches = counters.helpedDispatches;
     out.stats.meanBatchSize =
         out.stats.dispatches > 0 ? double(counters.dispatchedRequests) /
                                        double(out.stats.dispatches)

@@ -24,7 +24,8 @@
  * Decision requests flow through a stream::DecisionPool — a bounded
  * MPMC queue (backpressure: the event source blocks when
  * classification falls behind) whose workers drain it in
- * cross-channel batches per dispatch.
+ * cross-channel batches per dispatch.  An event loop that would
+ * block folds a full queued dispatch itself instead.
  */
 
 #include <cstdint>
@@ -127,8 +128,11 @@ struct SessionStats
 
     std::uint64_t chunksEmitted = 0; //!< chunks surfaced by channels
     std::uint64_t decisions = 0;     //!< classifier dispatches applied
-    std::uint64_t dispatches = 0;    //!< worker batch pulls
+    std::uint64_t dispatches = 0;    //!< batch pulls, helped included
     double meanBatchSize = 0.0;      //!< decisions per dispatch
+    /** Dispatches this session's event loop folded itself while it
+        waited (DecisionService::help), rather than a worker. */
+    std::uint64_t helpedDispatches = 0;
 
     /** DP rows folded by the checkpointed scheme (actual work). */
     std::uint64_t dpRowsFolded = 0;
@@ -207,7 +211,8 @@ class ReadUntilSession
      * virtual-time outcome depends only on the session seed, config
      * and reads.  Wall-clock statistics (latency percentiles,
      * chunks/s) reflect the shared pool; dispatches/meanBatchSize are
-     * pool-level and left zero.  @p session_id tags every submitted
+     * pool-level and left zero, as is helpedDispatches (the fleet
+     * fills it in).  @p session_id tags every submitted
      * request so the service can do per-session admission accounting,
      * and @p live (optional) is ticked as chunks surface and
      * decisions apply so an orchestrator can snapshot progress

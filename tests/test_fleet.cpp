@@ -180,6 +180,95 @@ TEST(QosQueueTest, AdmissionQuotaBlocksUntilDispatchFreesIt)
     EXPECT_EQ(queue.depth(s), 0u);
 }
 
+TEST(QosQueueTest, TryPopTakesAFullBatchOnlyWhenOneStaysForTheWorkers)
+{
+    constexpr std::size_t kBatch = 2;
+    QosBoundedQueue<Item> queue(16, /*statBurst=*/1);
+    const auto stat = queue.registerSession(QosClass::Stat, 0);
+    const auto research = queue.registerSession(QosClass::Research, 0);
+    std::vector<Item> batch;
+    QosClass served = QosClass::Research;
+
+    // Three Stat items: taking a batch would leave the workers a
+    // thin one, so a helper takes nothing.
+    for (int i = 0; i < 3; ++i)
+        ASSERT_TRUE(queue.push(stat, Item{stat, i}));
+    for (int i = 0; i < 8; ++i)
+        ASSERT_TRUE(queue.push(research, Item{research, 100 + i}));
+    EXPECT_FALSE(queue.tryPopBatch(batch, kBatch, &served));
+    EXPECT_TRUE(batch.empty());
+
+    // A fourth: exactly one full batch, from the head of the class.
+    ASSERT_TRUE(queue.push(stat, Item{stat, 3}));
+    ASSERT_TRUE(queue.tryPopBatch(batch, kBatch, &served));
+    EXPECT_EQ(served, QosClass::Stat);
+    ASSERT_EQ(batch.size(), kBatch);
+    EXPECT_EQ(batch[0].value, 0);
+    EXPECT_EQ(batch[1].value, 1);
+
+    // The helper's dispatch counts toward the starvation streak like
+    // a worker's: with statBurst 1 the next dispatch is Research.
+    batch.clear();
+    ASSERT_TRUE(queue.tryPopBatch(batch, kBatch, &served));
+    EXPECT_EQ(served, QosClass::Research);
+    EXPECT_EQ(batch[0].value, 100);
+
+    // A worker waiting in popBatch (here: lingering for a batch of
+    // 64) is idle: the queued work is its to fold, not a helper's,
+    // though the Stat class holds two batches again.
+    ASSERT_TRUE(queue.push(stat, Item{stat, 4}));
+    ASSERT_TRUE(queue.push(stat, Item{stat, 5}));
+    batch.clear();
+    std::vector<Item> worker_batch;
+    std::thread worker([&] {
+        EXPECT_TRUE(queue.popBatch(worker_batch, 64, nullptr,
+                                   std::chrono::seconds(30)));
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_FALSE(queue.tryPopBatch(batch, kBatch, &served));
+    queue.close(); // ends the linger
+    worker.join();
+    EXPECT_TRUE(batch.empty());
+    EXPECT_FALSE(worker_batch.empty());
+}
+
+TEST(QosQueueTest, RefusedPushCountsOneStallHoweverOftenItRetries)
+{
+    using Push = QosBoundedQueue<Item>::PushResult;
+    QosBoundedQueue<Item> queue(2, 4);
+    const auto s = queue.registerSession(QosClass::Stat, 0);
+    Item item{s, 7};
+    ASSERT_EQ(queue.tryPush(s, item, false), Push::Pushed);
+    ASSERT_EQ(queue.tryPush(s, item, false), Push::Pushed);
+
+    // Full: the first refusal is the stall, the retries are not.
+    EXPECT_EQ(queue.tryPush(s, item, false), Push::Refused);
+    EXPECT_EQ(queue.tryPush(s, item, true), Push::Refused);
+    EXPECT_EQ(queue.tryPush(s, item, true), Push::Refused);
+    EXPECT_EQ(queue.stalls(s), 1u);
+
+    // The blocking push that ends the retries counts nothing more.
+    std::thread pusher(
+        [&] { EXPECT_TRUE(queue.push(s, item, /*stalled=*/true)); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    std::vector<Item> batch;
+    ASSERT_TRUE(queue.popBatch(batch, 1, nullptr));
+    pusher.join();
+    EXPECT_EQ(queue.stalls(s), 1u);
+    EXPECT_EQ(queue.totalStalls(), 1u);
+
+    // A fresh push that blocks counts its own stall; closed refuses.
+    std::thread blocked([&] { EXPECT_TRUE(queue.push(s, Item{s, 8})); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    batch.clear();
+    ASSERT_TRUE(queue.popBatch(batch, 1, nullptr));
+    blocked.join();
+    EXPECT_EQ(queue.stalls(s), 2u);
+    queue.close();
+    EXPECT_EQ(queue.tryPush(s, item, false), Push::Closed);
+    EXPECT_EQ(queue.stalls(s), 2u);
+}
+
 TEST(QosQueueTest, CloseWakesBlockedProducerAndDrainsConsumers)
 {
     QosBoundedQueue<Item> queue(1, 4);
@@ -556,6 +645,7 @@ class JsonParser
 const std::vector<std::string> kTopLevelKeys = {
     "wall_seconds",   "chunks_emitted", "chunks_per_sec",
     "dispatches",     "dispatched_requests", "mean_batch",
+    "helped_dispatches",
     "lane_jobs",      "lane_slots",     "lane_occupancy",
     "dispatches_by_class", "requests_by_backend", "fault_ledger",
     "sessions"};
@@ -565,7 +655,7 @@ const std::vector<std::string> kLedgerKeys = {
     "revived_pores", "washes", "hot_swap_epochs", "storm_windows"};
 const std::vector<std::string> kSessionKeys = {
     "name", "qos", "backend", "queue_depth", "chunks_emitted",
-    "decisions", "finished", "degradation"};
+    "decisions", "helped_dispatches", "finished", "degradation"};
 // A session's degradation object = the ledger keys + the histogram.
 const std::string kWearHistKey = "wear_hist";
 
@@ -592,6 +682,7 @@ TEST(SnapshotSchemaTest, ToJsonRoundTripsEveryDocumentedField)
     snap.dispatches = 777;
     snap.dispatchedRequests = 2222;
     snap.meanBatchSize = 2.8125; // exact in the %.6g telemetry format
+    snap.helpedDispatches = 133;
     snap.laneJobs = 901;
     snap.laneSlots = 1024;
     snap.laneOccupancy = 0.875;
@@ -615,6 +706,7 @@ TEST(SnapshotSchemaTest, ToJsonRoundTripsEveryDocumentedField)
     a.queueDepth = 3;
     a.chunksEmitted = 4000;
     a.decisions = 64;
+    a.helpedDispatches = 31;
     a.finished = false;
     a.faults.backpressureStalls = 10;
     a.faults.deadChannels = 2;
@@ -633,6 +725,7 @@ TEST(SnapshotSchemaTest, ToJsonRoundTripsEveryDocumentedField)
     b.qos = QosClass::Research;
     b.chunksEmitted = 242;
     b.decisions = 8;
+    b.helpedDispatches = 102;
     b.finished = true;
     b.faults.backpressureStalls = 1;
     b.faults.dropouts = 1;
@@ -655,6 +748,7 @@ TEST(SnapshotSchemaTest, ToJsonRoundTripsEveryDocumentedField)
     EXPECT_DOUBLE_EQ(root.at("dispatches").number, 777.0);
     EXPECT_DOUBLE_EQ(root.at("dispatched_requests").number, 2222.0);
     EXPECT_DOUBLE_EQ(root.at("mean_batch").number, 2.8125);
+    EXPECT_DOUBLE_EQ(root.at("helped_dispatches").number, 133.0);
     EXPECT_DOUBLE_EQ(root.at("lane_jobs").number, 901.0);
     EXPECT_DOUBLE_EQ(root.at("lane_slots").number, 1024.0);
     EXPECT_DOUBLE_EQ(root.at("lane_occupancy").number, 0.875);
@@ -695,6 +789,7 @@ TEST(SnapshotSchemaTest, ToJsonRoundTripsEveryDocumentedField)
     EXPECT_DOUBLE_EQ(s0.at("queue_depth").number, 3.0);
     EXPECT_DOUBLE_EQ(s0.at("chunks_emitted").number, 4000.0);
     EXPECT_DOUBLE_EQ(s0.at("decisions").number, 64.0);
+    EXPECT_DOUBLE_EQ(s0.at("helped_dispatches").number, 31.0);
     EXPECT_FALSE(s0.at("finished").boolean);
     std::vector<std::string> deg_keys = kLedgerKeys;
     deg_keys.push_back(kWearHistKey);
@@ -725,6 +820,7 @@ TEST(SnapshotSchemaTest, ToJsonRoundTripsEveryDocumentedField)
     EXPECT_EQ(s1.at("name").string, "cell-1");
     EXPECT_EQ(s1.at("qos").string, "research");
     EXPECT_EQ(s1.at("backend").string, "software");
+    EXPECT_DOUBLE_EQ(s1.at("helped_dispatches").number, 102.0);
     EXPECT_TRUE(s1.at("finished").boolean);
     EXPECT_DOUBLE_EQ(
         s1.at("degradation").at("backpressure_stalls").number, 1.0);
@@ -863,6 +959,64 @@ TEST_F(FleetTest, PerSessionLogsMatchStandaloneAcrossFleetAndWorkers)
                         " workers=" + std::to_string(workers) +
                         " session=" + std::to_string(i));
             }
+        }
+    }
+}
+
+TEST_F(FleetTest, DriversHelpOnlyWithFullBatchesAcrossWorkers)
+{
+    // A session driver that would block folds a full queued dispatch
+    // of any session on its own engine.  With one worker and a deep
+    // queue the drivers must help, and every session's log must still
+    // equal its standalone run, as it must with three workers.
+    // Near-instant captures line every channel's chunks up on the
+    // same virtual instants, and a virtual decision latency of one
+    // chunk keeps each request in flight until the next wave is
+    // submitted, so the shared queue holds whole waves.
+    const auto helping_config = [](std::size_t i) {
+        stream::SessionConfig cfg = sessionConfig(i);
+        cfg.captureDelayMeanSec = 1e-3;
+        cfg.decisionLatencySec = cfg.chunkSeconds;
+        return cfg;
+    };
+    std::vector<stream::SessionResult> oracles;
+    for (std::size_t i = 0; i < kMaxFleet; ++i)
+        oracles.push_back(
+            stream::ReadUntilSession(classifier(), helping_config(i))
+                .run(sessionReads(i).reads));
+
+    for (unsigned workers : {1u, 3u}) {
+        FleetConfig cfg;
+        cfg.workers = workers;
+        cfg.queueCapacity = 256;
+        cfg.dispatchBatch = 2;
+        FleetOrchestrator fleet(cfg);
+        for (std::size_t i = 0; i < kMaxFleet; ++i) {
+            SessionSpec spec;
+            spec.name = "cell-" + std::to_string(i);
+            spec.classifier = &classifier();
+            spec.config = helping_config(i);
+            spec.qos = i % 2 == 0 ? QosClass::Stat : QosClass::Research;
+            spec.reads = sessionReads(i).reads;
+            fleet.addSession(std::move(spec));
+        }
+        const FleetResult result = fleet.run();
+        const std::string context = "workers=" + std::to_string(workers);
+        std::uint64_t helped = 0;
+        for (std::size_t i = 0; i < kMaxFleet; ++i) {
+            expectLogsEqual(result.sessions[i].result, oracles[i],
+                            context + " session=" + std::to_string(i));
+            EXPECT_EQ(result.sessions[i].result.stats.helpedDispatches,
+                      result.snapshot.sessions[i].helpedDispatches)
+                << context;
+            helped += result.snapshot.sessions[i].helpedDispatches;
+        }
+        EXPECT_EQ(helped, result.snapshot.helpedDispatches) << context;
+        EXPECT_LE(result.snapshot.helpedDispatches,
+                  result.snapshot.dispatches)
+            << context;
+        if (workers == 1) {
+            EXPECT_GT(result.snapshot.helpedDispatches, 0u) << context;
         }
     }
 }

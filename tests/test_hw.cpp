@@ -802,6 +802,47 @@ TEST_F(BackendParityTest, AsicSessionLogMatchesSoftwareAcrossWorkers)
     }
 }
 
+TEST_F(BackendParityTest, HelpedAsicSessionLedgerMatchesFourWorkers)
+{
+    // One worker and a deep queue: the event loop folds full queued
+    // dispatches on its own engine while it waits.  The pool's ledger
+    // must sum that engine too, so the session reports the same
+    // hwModel as a 4-worker run.  Near-instant captures line every
+    // channel's chunks up on the same virtual instants, and a virtual
+    // decision latency of one chunk keeps each request in flight
+    // until the next wave is submitted, so the event loop awaits its
+    // first decision with the whole wave queued behind it.
+    const auto run_with = [](unsigned workers) {
+        stream::SessionConfig cfg =
+            sessionConfig(0, stream::DecisionBackendKind::Asic);
+        cfg.channels = 2 * kParityChannels;
+        cfg.captureDelayMeanSec = 1e-3;
+        cfg.decisionLatencySec = cfg.chunkSeconds;
+        cfg.workers = workers;
+        cfg.queueCapacity = 256;
+        cfg.dispatchBatch = 2;
+        return stream::ReadUntilSession(classifier(), cfg)
+            .run(sessionReads(0).reads);
+    };
+    const stream::SessionResult helped = run_with(1);
+    const stream::SessionResult wide = run_with(4);
+    EXPECT_GT(helped.stats.helpedDispatches, 0u);
+    expectLogsEqual(helped, wide, "asic helped vs 4 workers");
+
+    const stream::ModeledHwStats &a = helped.stats.hwModel;
+    const stream::ModeledHwStats &b = wide.stats.hwModel;
+    EXPECT_EQ(a.decisions, helped.stats.decisions);
+    EXPECT_EQ(a.decisions, b.decisions);
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.arrayPasses, b.arrayPasses);
+    EXPECT_EQ(a.checkpointBytes, b.checkpointBytes);
+    // Sums of doubles over a different split across engines: equal
+    // up to rounding.
+    EXPECT_NEAR(a.modeledLatencyUsTotal, b.modeledLatencyUsTotal,
+                1e-9 * b.modeledLatencyUsTotal);
+    EXPECT_NEAR(a.energyJoules, b.energyJoules, 1e-9 * b.energyJoules);
+}
+
 TEST_F(BackendParityTest, SoftwareBackendIsTheDefaultAndUnmodelled)
 {
     const stream::SessionResult &run = oracle(0);

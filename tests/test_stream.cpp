@@ -16,6 +16,7 @@
 #include "pipeline/experiments.hpp"
 #include "sdtw/filter.hpp"
 #include "signal/chunk_source.hpp"
+#include "stream/decision_pool.hpp"
 #include "stream/session.hpp"
 
 namespace sf::stream {
@@ -237,6 +238,67 @@ TEST_F(SessionTest, DecisionLogDeterministicUnderTightBackpressure)
         EXPECT_EQ(reference_run.log[i].keep, rerun.log[i].keep);
         EXPECT_EQ(reference_run.log[i].cost, rerun.log[i].cost);
     }
+}
+
+TEST_F(SessionTest, EventLoopHelpsOnlyWithFullBatches)
+{
+    // One worker and a deep queue: while the event loop awaits a
+    // decision or faces a full queue it folds queued dispatches
+    // itself, each a full dispatch batch, and the log stays
+    // bit-identical to a 3-worker run.  Near-instant captures line
+    // every channel's chunks up on the same virtual instants, and a
+    // virtual decision latency of one chunk keeps each request in
+    // flight until the next wave is submitted, so the event loop
+    // awaits its first decision with the whole wave queued behind it.
+    const auto &data = pipeline::makeStreamDataset(kDatasetReads, 0.5, 12);
+    SessionConfig cfg = config();
+    cfg.captureDelayMeanSec = 1e-3;
+    cfg.decisionLatencySec = cfg.chunkSeconds;
+    cfg.queueCapacity = 256;
+    cfg.dispatchBatch = kChannels / 4;
+
+    // The pool run() builds, driven here so its counters stay
+    // readable after the run.
+    cfg.workers = 1;
+    PoolConfig pool_config;
+    pool_config.workers = cfg.workers;
+    pool_config.queueCapacity = cfg.queueCapacity;
+    pool_config.dispatchBatch = cfg.dispatchBatch;
+    pool_config.statBurst = 1;
+    pool_config.dispatchLingerUs = 0;
+    DecisionPool pool(pool_config);
+    const std::uint32_t id =
+        pool.registerSession(QosClass::Stat, cfg.backend);
+    pool.start(classifier().config(), cfg.asic);
+    const SessionResult helped = ReadUntilSession(classifier(), cfg)
+                                     .runShared(pool, data.reads, id);
+    pool.shutdown();
+
+    const PoolCounters &counters = pool.counters();
+    EXPECT_GT(counters.helpedDispatches.load(), 0u);
+    EXPECT_EQ(counters.helpedRequests.load(),
+              counters.helpedDispatches.load() * cfg.dispatchBatch);
+    EXPECT_EQ(pool.helpedDispatches(id), counters.helpedDispatches.load());
+
+    cfg.workers = 3;
+    const SessionResult wide =
+        ReadUntilSession(classifier(), cfg).run(data.reads);
+    ASSERT_EQ(helped.log.size(), wide.log.size());
+    for (std::size_t i = 0; i < helped.log.size(); ++i) {
+        const auto &a = wide.log[i];
+        const auto &b = helped.log[i];
+        EXPECT_EQ(a.order, b.order);
+        EXPECT_EQ(a.channel, b.channel);
+        EXPECT_EQ(a.readId, b.readId);
+        EXPECT_EQ(a.keep, b.keep);
+        EXPECT_EQ(a.cost, b.cost);
+        EXPECT_EQ(a.samplesUsed, b.samplesUsed);
+        EXPECT_EQ(a.stagesRun, b.stagesRun);
+        EXPECT_DOUBLE_EQ(a.virtualSec, b.virtualSec);
+    }
+    EXPECT_EQ(helped.stats.chunksEmitted, wide.stats.chunksEmitted);
+    EXPECT_EQ(helped.stats.decisions, wide.stats.decisions);
+    EXPECT_EQ(helped.stats.dpRowsFolded, wide.stats.dpRowsFolded);
 }
 
 // ---------------------------------------------------------------- //
