@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-specific lint for invariants no generic tool knows.
 
-Nine rules, each encoding a correctness contract of this codebase:
+Ten rules, each encoding a correctness contract of this codebase:
 
   simd-backend-integrity   Every SIMD backend TU (src/sdtw/
                            batch_{avx2,avx512}.cpp) keeps its
@@ -40,6 +40,14 @@ Nine rules, each encoding a correctness contract of this codebase:
                            src/stream/ is out of scope for now:
                            CompletionBoard::await() has no shutdown
                            edge yet (ROADMAP, failure containment).
+
+  loop-wait-site           In src/stream/session.cpp, .await( and
+                           .help( each occur exactly once, inside
+                           FlowcellLoop::awaitDecision: the event
+                           loop's one blocking wait.  A shutdown edge
+                           for CompletionBoard::await() and an
+                           await-return timestamp then each have one
+                           call site to change, not one per handler.
 
   hw-layering              No file under src/stream/ or src/fleet/
                            includes an hw/ header, except
@@ -293,17 +301,25 @@ WAIT_SCOPE = (
 WAIT_CALL = re.compile(r"\.wait(_for|_until)?\s*\(")
 
 
-def _balanced_call_args(text: str, open_paren: int) -> str:
-    """Return the argument text of a call whose '(' is at open_paren."""
+def _matching_close(text: str, open_at: int) -> int:
+    """Offset of the bracket that closes the '(' or '{' at open_at
+    (len(text) when it is never closed)."""
+    opener = text[open_at]
+    closer = {"(": ")", "{": "}"}[opener]
     depth = 0
-    for i in range(open_paren, len(text)):
-        if text[i] == "(":
+    for i in range(open_at, len(text)):
+        if text[i] == opener:
             depth += 1
-        elif text[i] == ")":
+        elif text[i] == closer:
             depth -= 1
             if depth == 0:
-                return text[open_paren + 1 : i]
-    return text[open_paren + 1 :]
+                return i
+    return len(text)
+
+
+def _balanced_call_args(text: str, open_paren: int) -> str:
+    """Return the argument text of a call whose '(' is at open_paren."""
+    return text[open_paren + 1 : _matching_close(text, open_paren)]
 
 
 def rule_pool_wait_discipline(root: Path, findings: List[Finding]):
@@ -335,6 +351,53 @@ def rule_pool_wait_discipline(root: Path, findings: List[Finding]):
                         "blocking wait without a close()/shutdown "
                         "wake-up in its predicate (and no deadline); "
                         "pool teardown could deadlock on it"))
+
+
+# ------------------------------------------------------------------ #
+# Rule: loop-wait-site                                                #
+# ------------------------------------------------------------------ #
+
+LOOP_FILE = "src/stream/session.cpp"
+LOOP_WAIT_METHOD = "awaitDecision"
+LOOP_WAIT_CALLS = {
+    "await": re.compile(r"(?:\.|->)await\s*\("),
+    "help": re.compile(r"(?:\.|->)help\s*\("),
+}
+LOOP_WAIT_DEF = re.compile(r"\b" + LOOP_WAIT_METHOD + r"\s*\([^)]*\)\s*\{")
+
+
+def rule_loop_wait_site(root: Path, findings: List[Finding]):
+    rule = "loop-wait-site"
+    path = root / LOOP_FILE
+    if not path.exists():
+        findings.append(
+            Finding(rule, LOOP_FILE, "event-loop file is missing; point "
+                    "LOOP_FILE at where FlowcellLoop moved"))
+        return
+    text = strip_comments(path.read_text())
+    defs = list(LOOP_WAIT_DEF.finditer(text))
+    if len(defs) != 1:
+        findings.append(
+            Finding(rule, LOOP_FILE,
+                    f"expected one definition of {LOOP_WAIT_METHOD}(), "
+                    f"found {len(defs)}"))
+        return
+    open_brace = defs[0].end() - 1
+    body = range(open_brace, _matching_close(text, open_brace) + 1)
+    for name, pattern in LOOP_WAIT_CALLS.items():
+        sites = [m.start() for m in pattern.finditer(text)]
+        for offset in sites:
+            if offset not in body:
+                findings.append(
+                    Finding(rule, f"{LOOP_FILE}:{line_of(text, offset)}",
+                            f".{name}( outside {LOOP_WAIT_METHOD}(); the "
+                            "event loop waits at one site"))
+        inside = [o for o in sites if o in body]
+        if len(inside) != 1:
+            findings.append(
+                Finding(rule, f"{LOOP_FILE}:{line_of(text, body.start)}",
+                        f"{LOOP_WAIT_METHOD}() must call .{name}( exactly "
+                        f"once, found {len(inside)}"))
 
 
 # ------------------------------------------------------------------ #
@@ -564,6 +627,7 @@ RULES = [
     rule_simd_backend_integrity,
     rule_concurrency_containment,
     rule_pool_wait_discipline,
+    rule_loop_wait_site,
     rule_hw_layering,
     rule_hw_oracle_containment,
     rule_quantized_hot_path_purity,

@@ -18,15 +18,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hpp"
 #include "pipeline/experiments.hpp"
 #include "sdtw/filter.hpp"
+#include "stream/decision_pool.hpp"
 #include "stream/fault_plan.hpp"
 #include "stream/session.hpp"
 
@@ -48,6 +51,20 @@ constexpr int kChannels = 4;
 constexpr std::size_t kStages = 6;
 const std::vector<unsigned> kWorkerCounts = {1, 4, 8};
 #endif
+
+/** Each fault event's ledger field and the live gauge that mirrors it. */
+const std::pair<std::uint64_t DegradationStats::*,
+                std::atomic<std::uint64_t> LiveDegradation::*>
+    kFaultGauges[] = {
+        {&DegradationStats::dropouts, &LiveDegradation::dropouts},
+        {&DegradationStats::recoveries, &LiveDegradation::recoveries},
+        {&DegradationStats::readsAborted, &LiveDegradation::abortedReads},
+        {&DegradationStats::poresWorn, &LiveDegradation::poresWorn},
+        {&DegradationStats::poresRevived, &LiveDegradation::poresRevived},
+        {&DegradationStats::washes, &LiveDegradation::washes},
+        {&DegradationStats::hotSwapEpochs, &LiveDegradation::hotSwapEpochs},
+        {&DegradationStats::stormWindows, &LiveDegradation::stormWindows},
+};
 
 class FaultTest : public ::testing::Test
 {
@@ -484,6 +501,88 @@ TEST_F(FaultTest, CombinedHostilePlanStaysDeterministic)
         EXPECT_EQ(r.stats.degradation.readsAborted, deg.readsAborted);
         EXPECT_EQ(r.stats.degradation.poresWorn, deg.poresWorn);
     }
+
+    // Stopped early on the faulted flowcell, the teardown leaves the
+    // full run's log up to the stop and a balanced ledger, and no
+    // fault is counted more often than in the full run.  At 3 virtual
+    // seconds — after channel 0's dropout, inside the storm — the
+    // 43 us decision latency leaves nothing in flight, so a second
+    // input holds each decision for a chunk period and stops at
+    // 2.25 s, after both dropouts, where one is still in flight.
+    SessionConfig at3 = cfg;
+    at3.maxVirtualHours = 3.0 / 3600.0;
+    SessionConfig slow = cfg;
+    slow.decisionLatencySec = slow.chunkSeconds;
+    const SessionResult slow_full = run(slow);
+    slow.maxVirtualHours = 2.25 / 3600.0;
+    const std::pair<SessionConfig, const SessionResult *> stops[] = {
+        {at3, &oracle}, {slow, &slow_full}};
+    for (const auto &[stop_cfg, full] : stops)
+        for (unsigned workers : {1u, 4u}) {
+            SessionConfig scfg = stop_cfg;
+            scfg.workers = workers;
+            scfg.queueCapacity = 2;
+            const double stop_sec = scfg.maxVirtualHours * 3600.0;
+            const SessionResult s = run(scfg);
+            const std::string context =
+                "stopped at " + std::to_string(stop_sec) +
+                " s workers=" + std::to_string(workers);
+            ASSERT_LE(s.log.size(), full->log.size()) << context;
+            for (std::size_t i = 0; i < s.log.size(); ++i) {
+                const DecisionRecord &a = full->log[i];
+                const DecisionRecord &b = s.log[i];
+                EXPECT_EQ(a.order, b.order) << context;
+                EXPECT_EQ(a.channel, b.channel) << context;
+                EXPECT_EQ(a.readId, b.readId) << context;
+                EXPECT_EQ(a.isTarget, b.isTarget) << context;
+                EXPECT_EQ(a.keep, b.keep) << context;
+                EXPECT_EQ(a.cost, b.cost) << context;
+                EXPECT_EQ(a.samplesUsed, b.samplesUsed) << context;
+                EXPECT_EQ(a.stagesRun, b.stagesRun) << context;
+                EXPECT_EQ(a.virtualSec, b.virtualSec) << context;
+            }
+            if (s.log.size() < full->log.size()) {
+                EXPECT_GT(full->log[s.log.size()].virtualSec, stop_sec)
+                    << context;
+            }
+            expectChunksConserved(s, context);
+            for (const auto &[ledger, gauge] : kFaultGauges)
+                EXPECT_LE(s.stats.degradation.*ledger,
+                          full->stats.degradation.*ledger)
+                    << context;
+        }
+
+    // The same plan through runShared on a caller-owned pool and live
+    // counters.  Its permanent dropout, recoverable outage and worn
+    // pores move the dead and recovering gauges on paths no fleet test
+    // plan reaches; once the run finishes every gauge equals its
+    // ledger field.
+    PoolConfig pool_config;
+    pool_config.workers = cfg.workers;
+    pool_config.queueCapacity = cfg.queueCapacity;
+    pool_config.dispatchBatch = cfg.dispatchBatch;
+    pool_config.statBurst = 1;
+    pool_config.dispatchLingerUs = 0;
+    DecisionPool pool(pool_config);
+    const std::uint32_t id =
+        pool.registerSession(QosClass::Stat, cfg.backend);
+    pool.start(classifier().config(), cfg.asic);
+    SessionLiveCounters live;
+    const SessionResult shared = ReadUntilSession(classifier(), cfg)
+                                     .runShared(pool, reads().reads, id,
+                                                &live);
+    pool.shutdown();
+    expectLogsEqual(shared, oracle, "combined runShared");
+    const DegradationStats &sdeg = shared.stats.degradation;
+    const LiveDegradation &gauges = live.degradation;
+    EXPECT_TRUE(live.finished.load());
+    for (const auto &[ledger, gauge] : kFaultGauges)
+        EXPECT_EQ((gauges.*gauge).load(), sdeg.*ledger);
+    EXPECT_EQ(gauges.deadChannels.load(), sdeg.deadChannelsAtEnd);
+    EXPECT_EQ(gauges.recoveringChannels.load(), 0u);
+    for (std::size_t b = 0; b < kWearBuckets; ++b)
+        EXPECT_EQ(gauges.wearBuckets[b].load(), sdeg.wearHistogram[b])
+            << "wear bucket " << b;
 }
 
 } // namespace

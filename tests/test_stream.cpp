@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hpp"
@@ -240,6 +242,25 @@ TEST_F(SessionTest, DecisionLogDeterministicUnderTightBackpressure)
     }
 }
 
+TEST_F(SessionTest, DecisionSlowerThanAChunkConservesChunks)
+{
+    // A decision that takes longer than a chunk period leaves chunks
+    // in the channel's backlog when it ends the read.  They die with
+    // the read and must be accounted aborted, or the conservation
+    // check panics once the pore captures its next strand.
+    const auto &data = pipeline::makeStreamDataset(kDatasetReads, 0.5, 12);
+    SessionConfig cfg = config();
+    cfg.decisionLatencySec = 2.5 * cfg.chunkSeconds;
+    cfg.workers = 4;
+    cfg.queueCapacity = 2;
+    const auto result = ReadUntilSession(classifier(), cfg).run(data.reads);
+    const DegradationStats &deg = result.stats.degradation;
+    EXPECT_EQ(result.stats.chunksEmitted,
+              deg.chunksFolded + deg.chunksAborted);
+    EXPECT_GT(deg.chunksAborted, 0u);
+    EXPECT_EQ(result.log.size(), data.reads.size());
+}
+
 TEST_F(SessionTest, EventLoopHelpsOnlyWithFullBatches)
 {
     // One worker and a deep queue: while the event loop awaits a
@@ -402,6 +423,31 @@ TEST_F(SessionTest, MidStreamTeardownUnderLoadShutsDownCleanly)
     for (std::size_t i = 1; i < result.log.size(); ++i)
         EXPECT_GE(result.log[i].virtualSec,
                   result.log[i - 1].virtualSec);
+
+    // Stopping early only cuts the log: it is the full run's log up to
+    // the stop, field for field, and the teardown that awaited the
+    // in-flight decisions left every emitted chunk accounted.
+    const auto &full = baselineRun();
+    const double stop_sec = cfg.maxVirtualHours * 3600.0;
+    ASSERT_GT(result.log.size(), 0u);
+    ASSERT_LT(result.log.size(), full.log.size());
+    for (std::size_t i = 0; i < result.log.size(); ++i) {
+        const auto &a = full.log[i];
+        const auto &b = result.log[i];
+        EXPECT_EQ(a.order, b.order) << "record " << i;
+        EXPECT_EQ(a.channel, b.channel) << "record " << i;
+        EXPECT_EQ(a.readId, b.readId) << "record " << i;
+        EXPECT_EQ(a.isTarget, b.isTarget) << "record " << i;
+        EXPECT_EQ(a.keep, b.keep) << "record " << i;
+        EXPECT_EQ(a.cost, b.cost) << "record " << i;
+        EXPECT_EQ(a.samplesUsed, b.samplesUsed) << "record " << i;
+        EXPECT_EQ(a.stagesRun, b.stagesRun) << "record " << i;
+        EXPECT_EQ(a.virtualSec, b.virtualSec) << "record " << i;
+    }
+    EXPECT_GT(full.log[result.log.size()].virtualSec, stop_sec);
+    const DegradationStats &deg = result.stats.degradation;
+    EXPECT_EQ(result.stats.chunksEmitted,
+              deg.chunksFolded + deg.chunksAborted);
 }
 
 TEST_F(SessionTest, RaggedLaneRefillUnderContentionStaysDeterministic)
@@ -452,6 +498,29 @@ TEST_F(SessionTest, InvalidConfigIsFatal)
     EXPECT_THROW(ReadUntilSession(classifier(), cfg), FatalError);
     cfg = config();
     cfg.queueCapacity = 0;
+    EXPECT_THROW(ReadUntilSession(classifier(), cfg), FatalError);
+
+    // Every virtual-time field is checked before its first use: a
+    // negative or NaN one fatals instead of sizing chunks out of
+    // range, running the clock backwards or disarming the safety stop.
+    const std::pair<const char *, double SessionConfig::*> fields[] = {
+        {"sampleRateHz", &SessionConfig::sampleRateHz},
+        {"chunkSeconds", &SessionConfig::chunkSeconds},
+        {"captureDelayMeanSec", &SessionConfig::captureDelayMeanSec},
+        {"ejectLatencySec", &SessionConfig::ejectLatencySec},
+        {"poreRecoverySec", &SessionConfig::poreRecoverySec},
+        {"decisionLatencySec", &SessionConfig::decisionLatencySec},
+        {"maxVirtualHours", &SessionConfig::maxVirtualHours},
+    };
+    for (const auto &[name, field] : fields)
+        for (double bad : {-1.0, std::nan("")}) {
+            cfg = config();
+            cfg.*field = bad;
+            EXPECT_THROW(ReadUntilSession(classifier(), cfg), FatalError)
+                << name << " = " << bad;
+        }
+    cfg = config();
+    cfg.maxVirtualHours = 0.0;
     EXPECT_THROW(ReadUntilSession(classifier(), cfg), FatalError);
 
     // An Asic session the modelled hardware cannot implement fatals
