@@ -41,23 +41,6 @@ namespace {
 constexpr std::size_t kChunkSamples = 1600; // 0.4 s at 4 kHz
 constexpr std::size_t kStages = 9;
 
-bool
-logsEqual(const stream::SessionResult &a, const stream::SessionResult &b)
-{
-    if (a.log.size() != b.log.size())
-        return false;
-    for (std::size_t i = 0; i < a.log.size(); ++i) {
-        const auto &x = a.log[i];
-        const auto &y = b.log[i];
-        if (x.channel != y.channel || x.readId != y.readId ||
-            x.keep != y.keep || x.cost != y.cost ||
-            x.samplesUsed != y.samplesUsed ||
-            x.stagesRun != y.stagesRun)
-            return false;
-    }
-    return true;
-}
-
 /** Per-decision view of one modelled-ASIC run. */
 struct AsicRow
 {
@@ -91,7 +74,7 @@ runAsic(const sdtw::SquiggleFilterClassifier &classifier,
     row.passesPerDecision = double(hw.arrayPasses) / n;
     row.checkpointKbPerDecision = double(hw.checkpointBytes) / n / 1024.0;
     row.energyUjPerDecision = hw.energyJoules / n * 1e6;
-    row.logsMatch = logsEqual(run, software);
+    row.logsMatch = run.log == software.log;
     return row;
 }
 

@@ -82,13 +82,7 @@ runStreamingSection(std::size_t per_class)
     // fold together.  (With the 43 us ASIC budget every decision is
     // applied before the next chunk surfaces and batches never form.)
     cfg.decisionLatencySec = 0.1;
-    // SF_FIG17_LANE_BATCH=0 measures the serial worker path for A/B
-    // comparison; decisions are bit-identical either way.
-    cfg.laneBatching = envFlag("SF_FIG17_LANE_BATCH", cfg.laneBatching);
-    const char *simd =
-        cfg.laneBatching
-            ? sdtw::simdBackendName(sdtw::detectSimdBackend())
-            : "serial";
+    const char *simd = sdtw::simdBackendName(sdtw::detectSimdBackend());
     const stream::ReadUntilSession session(classifier, cfg);
     const auto result = session.run(data.reads);
     const auto &s = result.stats;
@@ -100,9 +94,7 @@ runStreamingSection(std::size_t per_class)
                   fmtInt(cfg.channels) + " / " +
                       fmtInt(long(std::thread::hardware_concurrency()))});
     table.addRow({"worker sDTW path",
-                  cfg.laneBatching
-                      ? std::string("lane-batched (") + simd + ")"
-                      : "serial"});
+                  std::string("lane-batched (") + simd + ")"});
     table.addRow({"decision schedule",
                   fmtInt(long(kDecisions)) + " stages x " +
                       fmtInt(long(kChunkSamples)) + " samples"});
@@ -137,11 +129,10 @@ runStreamingSection(std::size_t per_class)
                 "\"p50_us\": %.1f, \"p99_us\": %.1f, "
                 "\"dp_work_ratio\": %.2f, \"enrichment\": %.3f, "
                 "\"f1\": %.3f, \"reads\": %zu, \"decisions\": %zu, "
-                "\"lane_batching\": %s, \"simd\": \"%s\"}\n",
+                "\"simd\": \"%s\"}\n",
                 s.chunksPerSec, s.latency.p50us, s.latency.p99us,
                 s.dpWorkRatio(), s.enrichmentFactor, s.confusion.f1(),
-                s.readsProcessed, std::size_t(s.decisions),
-                cfg.laneBatching ? "true" : "false", simd);
+                s.readsProcessed, std::size_t(s.decisions), simd);
 }
 
 } // namespace

@@ -17,7 +17,6 @@
  *   SF_FLEET_SESSIONS    fleet size (default 8)
  *   SF_FLEET_WORKERS     shared-pool worker threads (default 1, same
  *                        for the isolated control runs)
- *   SF_FLEET_LANE_BATCH  0 = serial per-request fold path (A/B)
  *
  * Emits one BENCH_FLEET_JSON line consumed by scripts/bench_gate.py
  * and tracked in BENCH_fleet.json.
@@ -80,14 +79,13 @@ sessionReads(std::size_t i)
 }
 
 fleet::FleetConfig
-fleetConfig(unsigned workers, bool lane_batching)
+fleetConfig(unsigned workers)
 {
     fleet::FleetConfig cfg;
     cfg.workers = workers;
     cfg.queueCapacity = 256;
     cfg.dispatchBatch = 16;
     cfg.statBurst = 4;
-    cfg.laneBatching = lane_batching;
     return cfg;
 }
 
@@ -103,23 +101,6 @@ sessionSpec(const sdtw::SquiggleFilterClassifier &classifier,
                           : fleet::QosClass::Research;
     spec.reads = sessionReads(i).reads;
     return spec;
-}
-
-bool
-logsEqual(const stream::SessionResult &a, const stream::SessionResult &b)
-{
-    if (a.log.size() != b.log.size())
-        return false;
-    for (std::size_t i = 0; i < a.log.size(); ++i) {
-        const auto &x = a.log[i];
-        const auto &y = b.log[i];
-        if (x.channel != y.channel || x.readId != y.readId ||
-            x.keep != y.keep || x.cost != y.cost ||
-            x.samplesUsed != y.samplesUsed ||
-            x.stagesRun != y.stagesRun)
-            return false;
-    }
-    return true;
 }
 
 } // namespace
@@ -139,10 +120,7 @@ main()
     // never reaches.
     const std::size_t sessions = envSize("SF_FLEET_SESSIONS", 8);
     const unsigned workers = unsigned(envSize("SF_FLEET_WORKERS", 1));
-    const bool lane_batching = envFlag("SF_FLEET_LANE_BATCH", true);
-    const char *simd =
-        lane_batching ? sdtw::simdBackendName(sdtw::detectSimdBackend())
-                      : "serial";
+    const char *simd = sdtw::simdBackendName(sdtw::detectSimdBackend());
 
     sdtw::SquiggleFilterClassifier classifier(
         pipeline::streamVirusSquiggle());
@@ -161,8 +139,7 @@ main()
     std::uint64_t isolated_lane_jobs = 0;
     std::uint64_t isolated_lane_slots = 0;
     for (std::size_t i = 0; i < sessions; ++i) {
-        fleet::FleetOrchestrator solo(
-            fleetConfig(workers, lane_batching));
+        fleet::FleetOrchestrator solo(fleetConfig(workers));
         solo.addSession(sessionSpec(classifier, i));
         fleet::FleetResult result = solo.run();
         isolated_wall += result.snapshot.wallSeconds;
@@ -181,8 +158,7 @@ main()
             : 0.0;
 
     // ---- fleet run: all sessions sharing one pool.
-    fleet::FleetOrchestrator orchestrator(
-        fleetConfig(workers, lane_batching));
+    fleet::FleetOrchestrator orchestrator(fleetConfig(workers));
     for (std::size_t i = 0; i < sessions; ++i)
         orchestrator.addSession(sessionSpec(classifier, i));
     const fleet::FleetResult result = orchestrator.run();
@@ -193,8 +169,7 @@ main()
     bool logs_match = true;
     for (std::size_t i = 0; i < sessions; ++i)
         logs_match = logs_match &&
-                     logsEqual(result.sessions[i].result,
-                               isolated_results[i]);
+                     result.sessions[i].result.log == isolated_results[i].log;
 
     double worst_p99 = 0.0;
     for (const auto &session : result.sessions)
@@ -228,10 +203,7 @@ main()
     table.addRow({"decision logs bit-identical", "-",
                   logs_match ? "yes" : "NO"});
     table.addRow({"worker sDTW path",
-                  lane_batching ? std::string("lane-batched (") +
-                                      simd + ")"
-                                : "serial",
-                  ""});
+                  std::string("lane-batched (") + simd + ")", ""});
     table.print();
 
     std::printf("Cross-session folding: %.2fx aggregate chunks/s over "
@@ -246,12 +218,11 @@ main()
                 "\"isolated_chunks_per_s\": %.2f, "
                 "\"isolated_occupancy\": %.4f, "
                 "\"fold_speedup\": %.3f, \"logs_match\": %s, "
-                "\"lane_batching\": %s, \"simd\": \"%s\"}\n",
+                "\"simd\": \"%s\"}\n",
                 sessions, workers, snap.chunksPerSec,
                 snap.wallSeconds, snap.laneOccupancy,
                 snap.meanBatchSize, worst_p99, stat_share,
                 isolated_cps, isolated_occ, fold_speedup,
-                logs_match ? "true" : "false",
-                lane_batching ? "true" : "false", simd);
+                logs_match ? "true" : "false", simd);
     return logs_match ? 0 : 1;
 }

@@ -49,40 +49,6 @@ namespace {
 constexpr std::size_t kChunkSamples = 1600; // 0.4 s at 4 kHz
 constexpr std::size_t kStages = 9;
 
-bool
-logsIdentical(const stream::SessionResult &a,
-              const stream::SessionResult &b)
-{
-    if (a.log.size() != b.log.size())
-        return false;
-    for (std::size_t i = 0; i < a.log.size(); ++i) {
-        const auto &x = a.log[i];
-        const auto &y = b.log[i];
-        if (x.order != y.order || x.channel != y.channel ||
-            x.readId != y.readId || x.keep != y.keep ||
-            x.cost != y.cost || x.samplesUsed != y.samplesUsed ||
-            x.stagesRun != y.stagesRun || x.virtualSec != y.virtualSec)
-            return false;
-    }
-    return true;
-}
-
-bool
-degradationIdentical(const stream::DegradationStats &a,
-                     const stream::DegradationStats &b)
-{
-    return a.dropouts == b.dropouts && a.recoveries == b.recoveries &&
-           a.readsAborted == b.readsAborted &&
-           a.poresWorn == b.poresWorn &&
-           a.poresRevived == b.poresRevived && a.washes == b.washes &&
-           a.hotSwapEpochs == b.hotSwapEpochs &&
-           a.stormWindows == b.stormWindows &&
-           a.deadChannelsAtEnd == b.deadChannelsAtEnd &&
-           a.chunksFolded == b.chunksFolded &&
-           a.chunksAborted == b.chunksAborted &&
-           a.wearHistogram == b.wearHistogram;
-}
-
 } // namespace
 
 int
@@ -214,9 +180,8 @@ main()
         for (std::size_t i = 0; i < sessions; ++i) {
             const auto &a = oracle.result.sessions[i].result;
             const auto &b = passes[p].result.sessions[i].result;
-            if (!logsIdentical(a, b) ||
-                !degradationIdentical(a.stats.degradation,
-                                      b.stats.degradation)) {
+            if (a.log != b.log ||
+                a.stats.degradation != b.stats.degradation) {
                 logs_match = false;
                 std::fprintf(
                     stderr,

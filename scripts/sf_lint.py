@@ -95,6 +95,11 @@ Ten rules, each encoding a correctness contract of this codebase:
                            (os.getenv, os.environ.get, os.environ[])
                            count as reads; a Python script must not
                            read even a non-SF_ variable undocumented.
+                           The other direction too: each SF_* knob in
+                           the first column of a docs/OPERATIONS.md
+                           table, or opening a README "- `SF_...` —"
+                           bullet, must be read at one of those sites,
+                           so a deleted knob cannot stay documented.
 
   env-knob-strict-parse    Every knob read goes through the strict
                            helpers in src/common/env.{hpp,cpp}
@@ -554,6 +559,12 @@ PY_ENV_RE = re.compile(
     r"os\.(?:getenv\(|environ\.get\(|environ\[)\s*['\"]([A-Za-z0-9_]+)")
 
 KNOB_DOC_FILES = ("README.md", "docs/OPERATIONS.md")
+# Where a knob is documented as a knob, not just mentioned: the first
+# column of an OPERATIONS.md table row, or a README bullet's lead.
+KNOB_DOC_ENTRY_RES = (
+    ("docs/OPERATIONS.md", re.compile(r"^\| `(SF_[A-Z0-9_]+)` \|", re.M)),
+    ("README.md", re.compile(r"^- `(SF_[A-Z0-9_]+)` —", re.M)),
+)
 
 
 def rule_env_knob_docs(root: Path, findings: List[Finding]):
@@ -586,6 +597,18 @@ def rule_env_knob_docs(root: Path, findings: List[Finding]):
                         f"env knob {name} is read here but never "
                         "documented in README.md or "
                         "docs/OPERATIONS.md"))
+    for rel, entry_re in KNOB_DOC_ENTRY_RES:
+        path = root / rel
+        if not path.exists():
+            continue
+        text = path.read_text()
+        for m in entry_re.finditer(text):
+            if m.group(1) not in knobs:
+                findings.append(
+                    Finding(rule, f"{rel}:{line_of(text, m.start())}",
+                            f"env knob {m.group(1)} is documented here "
+                            "but read nowhere in src/, bench/, "
+                            "examples/, tests/ or scripts/"))
 
 
 # ------------------------------------------------------------------ #

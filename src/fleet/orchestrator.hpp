@@ -51,7 +51,7 @@ namespace sf::fleet {
 
 /** Shared worker-pool and admission configuration: the settings of
     the fleet's stream::DecisionPool (workers, queue, dispatch width,
-    admission quota, statBurst, linger, lane batching). */
+    admission quota, statBurst, linger). */
 using FleetConfig = stream::PoolConfig;
 
 /** One flowcell session to shard onto the shared pool. */
@@ -63,8 +63,8 @@ struct SessionSpec
         SdtwConfig switches (metric, reference deletion, match bonus,
         dwell cap) — addSession() fatals otherwise. */
     const sdtw::SquiggleFilterClassifier *classifier = nullptr;
-    /** Flowcell parameters.  workers/queueCapacity/dispatchBatch/
-        laneBatching are the fleet's concern and ignored here. */
+    /** Flowcell parameters.  workers/queueCapacity/dispatchBatch are
+        the fleet's concern and ignored here. */
     stream::SessionConfig config;
     QosClass qos = QosClass::Research;
     /** Reads this flowcell sequences; must outlive run(). */

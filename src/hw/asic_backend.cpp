@@ -6,9 +6,9 @@ namespace sf::hw {
 
 AsicBackend::AsicBackend(const stream::AsicSpec &spec,
                          const sdtw::SdtwConfig &config,
-                         std::size_t lane_capacity, bool lane_batching)
+                         std::size_t lane_capacity)
     : spec_(spec),
-      software_(config, lane_capacity, lane_batching,
+      software_(config, lane_capacity,
                 [this](const stream::DecisionRequest &req, double wall_us) {
                     return chargeModel(req, wall_us);
                 })

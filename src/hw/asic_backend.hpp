@@ -46,7 +46,7 @@ class AsicBackend final : public stream::DecisionBackend
      */
     AsicBackend(const stream::AsicSpec &spec,
                 const sdtw::SdtwConfig &config,
-                std::size_t lane_capacity, bool lane_batching);
+                std::size_t lane_capacity);
 
     /** The software fold's latency hook holds this object's address. */
     AsicBackend(const AsicBackend &) = delete;

@@ -57,8 +57,7 @@ DecisionPool::start(const sdtw::SdtwConfig &kernel, const AsicSpec &asic)
         config_.dispatchBatch, sdtw::BatchSdtw::kDefaultSerialCutover);
     engines_.resize(config_.workers + helpedBySession_.size());
     for (Engine &engine : engines_)
-        engine.backend = makeDecisionBackend(kind, asic, kernel, lanes,
-                                             config_.laneBatching);
+        engine.backend = makeDecisionBackend(kind, asic, kernel, lanes);
 
     workers_.reserve(config_.workers);
     for (unsigned w = 0; w < config_.workers; ++w)

@@ -66,8 +66,6 @@ struct PoolConfig
      * wall-clock tuning — decision logs are unaffected.
      */
     std::size_t dispatchLingerUs = 250;
-    /** Fold each dispatch's requests as SIMD lane batches. */
-    bool laneBatching = true;
 };
 
 /** Pool-level telemetry, cumulative since start() and ticked per

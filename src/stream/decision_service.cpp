@@ -32,10 +32,9 @@ decisionBackendName(DecisionBackendKind kind)
 
 SoftwareBackend::SoftwareBackend(const sdtw::SdtwConfig &config,
                                  std::size_t lane_capacity,
-                                 bool lane_batching,
                                  DecisionLatencyFn latency)
     : kernel_(std::make_unique<sdtw::BatchSdtw>(config, lane_capacity)),
-      laneBatching_(lane_batching), latency_(std::move(latency))
+      latency_(std::move(latency))
 {
 }
 
@@ -55,19 +54,6 @@ SoftwareBackend::fold(std::vector<DecisionRequest> &batch)
                 panic("duplicate in-flight decision request for "
                       "session %u slot %zu",
                       batch[i].sessionId, batch[i].slot);
-
-    if (!laneBatching_) {
-        for (DecisionRequest &req : batch) {
-            const sdtw::SquiggleFilterClassifier &cls = *req.classifier;
-            cls.feedChunk(*req.stream, req.samples);
-            if (req.endOfRead)
-                cls.finishStream(*req.stream);
-            const double wall = microsSince(req.enqueued, Clock::now());
-            req.board->complete(req.slot,
-                                latency_ ? latency_(req, wall) : wall);
-        }
-        return;
-    }
 
     // Group by classifier: feeds folded together must share one
     // reference squiggle.  A same-target fleet (the surveillance
@@ -133,16 +119,17 @@ makeDecisionBackend(DecisionBackendKind kind, const AsicSpec &asic,
                     const sdtw::SdtwConfig &config,
                     std::size_t lane_capacity, bool lane_batching)
 {
+    if (!lane_batching)
+        fatal("makeDecisionBackend: every backend folds lane batches, "
+              "lane_batching must be true");
     // The single stream -> hw reach-down: stream/ owns the backend
     // vocabulary, hw/ implements the modelled-ASIC plug-in.
     switch (kind) {
     case DecisionBackendKind::Software:
-        return std::make_unique<SoftwareBackend>(config, lane_capacity,
-                                                 lane_batching);
+        return std::make_unique<SoftwareBackend>(config, lane_capacity);
     case DecisionBackendKind::Asic:
         return std::make_unique<hw::AsicBackend>(asic, config,
-                                                 lane_capacity,
-                                                 lane_batching);
+                                                 lane_capacity);
     }
     panic("unknown DecisionBackendKind %d", int(kind));
 }

@@ -248,12 +248,12 @@ class DecisionBackend
 
 /**
  * The one fold: a per-worker SIMD BatchSdtw behind the backend seam,
- * which hw::AsicBackend decorates.  With @p lane_batching a dispatch's
- * requests are grouped by classifier (a fleet dispatch may span
- * sessions filtering different references) and each group advances
- * as one SIMD lane batch; otherwise every request folds serially.
- * Decisions are bit-identical either way.  A dispatch may carry at
- * most one request per (board, slot) pair — two lanes aliasing one
+ * which hw::AsicBackend decorates.  A dispatch's requests are grouped
+ * by classifier (a fleet dispatch may span sessions filtering
+ * different references) and each group advances as one SIMD lane
+ * batch; a group below the kernel's serial cutover folds on the
+ * serial engine inside BatchSdtw.  A dispatch may carry at most one
+ * request per (board, slot) pair — two lanes aliasing one
  * ClassifierStream mid-fold would corrupt it, so duplicates panic.
  * Latency is wall time from enqueue to completion unless @p latency
  * overrides it.
@@ -262,7 +262,7 @@ class SoftwareBackend final : public DecisionBackend
 {
   public:
     SoftwareBackend(const sdtw::SdtwConfig &config,
-                    std::size_t lane_capacity, bool lane_batching,
+                    std::size_t lane_capacity,
                     DecisionLatencyFn latency = {});
     ~SoftwareBackend() override;
 
@@ -271,7 +271,6 @@ class SoftwareBackend final : public DecisionBackend
 
   private:
     std::unique_ptr<sdtw::BatchSdtw> kernel_;
-    bool laneBatching_ = true;
     DecisionLatencyFn latency_;
 };
 
@@ -292,12 +291,14 @@ void checkAsicImplementable(const AsicSpec &spec,
  * the kernel configuration shared by every classifier the worker will
  * fold (the session/fleet uniformity checks guarantee this).  Fatals
  * on a configuration the modelled hardware cannot implement — call on
- * the main thread.
+ * the main thread.  @p lane_batching is kept only for perfbench's
+ * traced twin, which passes true; false is fatal.  It leaves with
+ * that twin.
  */
 std::unique_ptr<DecisionBackend>
 makeDecisionBackend(DecisionBackendKind kind, const AsicSpec &asic,
                     const sdtw::SdtwConfig &config,
-                    std::size_t lane_capacity, bool lane_batching);
+                    std::size_t lane_capacity, bool lane_batching = true);
 
 } // namespace sf::stream
 

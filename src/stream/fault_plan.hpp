@@ -151,8 +151,10 @@ struct FaultPlan
 
     /**
      * Fatal on an inconsistent plan: a dropout channel outside
-     * [0, @p channels), a non-positive storm factor or duration, a
-     * null hot-swap classifier, or any negative schedule time.
+     * [0, @p channels), a non-finite time, duration, storm factor or
+     * (with wear enabled) wear parameter, a non-positive storm factor
+     * or duration, a null hot-swap classifier, or any negative
+     * schedule time.
      * Kernel-config agreement of hot-swap classifiers is checked by
      * ReadUntilSession / FleetOrchestrator, which know the primary.
      */
@@ -188,6 +190,8 @@ struct DegradationStats
     /** Final per-channel wearFraction histogram (kWearBuckets equal
         bins over [0,1]; a fraction of 1.0 lands in the last bin). */
     std::array<std::uint64_t, kWearBuckets> wearHistogram{};
+
+    bool operator==(const DegradationStats &other) const = default;
 };
 
 /** Histogram bin of a wear fraction in [0, 1]. */

@@ -711,7 +711,6 @@ ReadUntilSession::run(std::span<const signal::ReadRecord> reads) const
     pool_config.dispatchBatch = config_.dispatchBatch;
     pool_config.statBurst = 1;
     pool_config.dispatchLingerUs = 0;
-    pool_config.laneBatching = config_.laneBatching;
     DecisionPool pool(pool_config);
     const std::uint32_t session_id =
         pool.registerSession(QosClass::Stat, config_.backend);

@@ -59,13 +59,6 @@ struct SessionConfig
     std::size_t queueCapacity = 256;    //!< bounded MPMC request queue
     std::size_t dispatchBatch = 16;     //!< max requests per worker pull
     /**
-     * Fold the cross-channel requests of each worker dispatch as one
-     * SIMD lane batch (sdtw::BatchSdtw) instead of looping the serial
-     * engine.  Decisions and the log are bit-identical either way;
-     * only wall-clock throughput changes.
-     */
-    bool laneBatching = true;
-    /**
      * Which engine executes decision requests (see
      * stream/decision_backend.hpp).  The virtual-clock outcomes —
      * including decisionLatencySec, which stays the modelled budget
@@ -107,6 +100,8 @@ struct DecisionRecord
     std::size_t samplesUsed = 0;  //!< raw samples folded for the call
     std::size_t stagesRun = 0;    //!< schedule stages evaluated
     double virtualSec = 0.0;      //!< flowcell time of application
+
+    bool operator==(const DecisionRecord &other) const = default;
 };
 
 /** Real (wall-clock) decision latency percentiles, microseconds. */
@@ -205,12 +200,12 @@ class ReadUntilSession
     /**
      * Run the same flowcell against an external decision service — a
      * shared fleet worker pool — instead of a pool of its own.
-     * config().workers, queueCapacity, dispatchBatch and laneBatching
-     * are the service's concern and ignored here; the decision log
-     * is bit-identical to run() regardless, because every
-     * virtual-time outcome depends only on the session seed, config
-     * and reads.  Wall-clock statistics (latency percentiles,
-     * chunks/s) reflect the shared pool; dispatches/meanBatchSize are
+     * config().workers, queueCapacity and dispatchBatch are the
+     * service's concern and ignored here; the decision log is
+     * bit-identical to run() regardless, because every virtual-time
+     * outcome depends only on the session seed, config and reads.
+     * Wall-clock statistics (latency percentiles, chunks/s) reflect
+     * the shared pool; dispatches/meanBatchSize are
      * pool-level and left zero, as is helpedDispatches (the fleet
      * fills it in).  @p session_id tags every submitted
      * request so the service can do per-session admission accounting,

@@ -19,6 +19,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -195,6 +196,37 @@ TEST_F(FaultTest, InvalidPlansAreFatal)
         SessionConfig cfg = config();
         cfg.faults = &plan;
         EXPECT_THROW(ReadUntilSession(classifier(), cfg), FatalError);
+    }
+
+    // NaN passes every ordered comparison: each time, duration, factor
+    // and wear parameter is rejected as non-finite first.
+    const double nan = std::nan("");
+    const auto wear_with = [](double readuntil::PoreWearModel::*field,
+                              double value) {
+        readuntil::PoreWearModel model;
+        model.*field = value;
+        return FaultPlan().enableWear(model, 1);
+    };
+    const std::pair<const char *, FaultPlan> nan_plans[] = {
+        {"dropout at", FaultPlan().dropout(0, nan, 1.0)},
+        {"dropout down", FaultPlan().dropout(0, 1.0, nan)},
+        {"storm at", FaultPlan().storm(nan, 1.0, 2.0)},
+        {"storm duration", FaultPlan().storm(1.0, nan, 2.0)},
+        {"storm factor", FaultPlan().storm(1.0, 1.0, nan)},
+        {"hot-swap at", FaultPlan().hotSwap(nan, &classifier())},
+        {"wash at", FaultPlan().wash(nan)},
+        {"wear death rate",
+         wear_with(&readuntil::PoreWearModel::deathRatePerHour, nan)},
+        {"wear reversal factor",
+         wear_with(&readuntil::PoreWearModel::reversalWearFactor, nan)},
+        {"wear remux recovery",
+         wear_with(&readuntil::PoreWearModel::remuxRecovery, nan)},
+    };
+    for (const auto &[name, plan] : nan_plans) {
+        SessionConfig cfg = config();
+        cfg.faults = &plan;
+        EXPECT_THROW(ReadUntilSession(classifier(), cfg), FatalError)
+            << name;
     }
 }
 

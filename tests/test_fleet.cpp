@@ -56,7 +56,7 @@ constexpr std::size_t kMaxFleet = 2;
 const std::vector<std::size_t> kFleetSizes = {kMaxFleet};
 const std::vector<unsigned> kWorkerCounts = {4};
 constexpr std::size_t kStatReadsFactor = 2;
-constexpr std::size_t kSerialFoldSessions = 1;
+constexpr std::size_t kOracleSessions = 1;
 #else
 constexpr std::size_t kCalibrationReads = 40;
 constexpr std::size_t kReadsPerSession = 16;
@@ -66,7 +66,7 @@ constexpr std::size_t kMaxFleet = 4;
 const std::vector<std::size_t> kFleetSizes = {1, 2, kMaxFleet};
 const std::vector<unsigned> kWorkerCounts = {1, 4, 8};
 constexpr std::size_t kStatReadsFactor = 3;
-constexpr std::size_t kSerialFoldSessions = 2;
+constexpr std::size_t kOracleSessions = 2;
 #endif
 
 // ---------------------------------------------------------------- //
@@ -1021,16 +1021,36 @@ TEST_F(FleetTest, DriversHelpOnlyWithFullBatchesAcrossWorkers)
     }
 }
 
-TEST_F(FleetTest, SerialFoldFleetMatchesLaneBatchedFleet)
+TEST_F(FleetTest, LaneBatchedFleetMatchesOfflineClassifyBitExactly)
 {
-    // laneBatching only changes wall-clock throughput, fleet-wide.
+    // Cross-session lane folds only change wall-clock throughput: each
+    // session's fleet log equals its standalone log, and every record
+    // and the DP work equal the offline classifier's.
     FleetConfig cfg;
     cfg.workers = 2;
-    cfg.laneBatching = false;
-    const FleetResult serial = runFleet(kSerialFoldSessions, cfg);
-    for (std::size_t i = 0; i < kSerialFoldSessions; ++i)
-        expectLogsEqual(serial.sessions[i].result, standalone(i),
-                        "serial-fold session=" + std::to_string(i));
+    const FleetResult fleet = runFleet(kOracleSessions, cfg);
+    for (std::size_t i = 0; i < kOracleSessions; ++i) {
+        const std::string context = "session=" + std::to_string(i);
+        const stream::SessionResult &run = fleet.sessions[i].result;
+        expectLogsEqual(run, standalone(i), context);
+        const signal::Dataset &data = sessionReads(i);
+        std::uint64_t offline_rows = 0;
+        for (const stream::DecisionRecord &rec : run.log) {
+            const auto &read = data.reads[std::size_t(rec.readId)];
+            ASSERT_EQ(read.id, rec.readId) << context;
+            // classify(read.raw), spelled out so its DP rows can be
+            // summed.
+            sdtw::ClassifierStream stream = classifier().beginStream();
+            classifier().feedChunk(stream, read.raw);
+            const auto offline = classifier().finishStream(stream);
+            offline_rows += stream.rowsFolded;
+            EXPECT_EQ(rec.keep, offline.keep) << context;
+            EXPECT_EQ(rec.cost, offline.cost) << context;
+            EXPECT_EQ(rec.samplesUsed, offline.samplesUsed) << context;
+            EXPECT_EQ(rec.stagesRun, offline.stagesRun) << context;
+        }
+        EXPECT_EQ(run.stats.dpRowsFolded, offline_rows) << context;
+    }
 }
 
 // ---------------------------------------------------------------- //

@@ -606,8 +606,7 @@ TEST(AsicBackendModel, NonFinalEjectWritesItsRowBack)
     sdtw::SquiggleFilterClassifier keeps_at_end(reference);
     keeps_at_end.setSingleStage(kChunk, kCostMax);
 
-    AsicBackend backend(stream::AsicSpec{}, sdtw::hardwareConfig(), 16,
-                        /*lane_batching=*/true);
+    AsicBackend backend(stream::AsicSpec{}, sdtw::hardwareConfig(), 16);
     const auto &raw =
         pipeline::makeStreamDataset(2, 0.5, 91).reads.front().raw;
     ASSERT_GE(raw.size(), kChunk);
@@ -649,21 +648,31 @@ TEST(AsicBackendModel, BackendRejectsUnimplementableConfigs)
     stream::AsicSpec spec;
     // The hardware implements |q - r| without reference deletions;
     // modelling it for any other recurrence would be a lie.
-    EXPECT_THROW(AsicBackend(spec, sdtw::vanillaConfig(), 16, true),
-                 FatalError);
+    EXPECT_THROW(AsicBackend(spec, sdtw::vanillaConfig(), 16), FatalError);
     sdtw::SdtwConfig refdel = sdtw::hardwareConfig();
     refdel.allowReferenceDeletion = true;
-    EXPECT_THROW(AsicBackend(spec, refdel, 16, true), FatalError);
+    EXPECT_THROW(AsicBackend(spec, refdel, 16), FatalError);
 
     stream::AsicSpec zero_pes;
     zero_pes.arrayDim = 0;
-    EXPECT_THROW(AsicBackend(zero_pes, sdtw::hardwareConfig(), 16, true),
+    EXPECT_THROW(AsicBackend(zero_pes, sdtw::hardwareConfig(), 16),
                  FatalError);
     stream::AsicSpec bad_clock;
     bad_clock.clockGhz = 0.0;
-    EXPECT_THROW(
-        AsicBackend(bad_clock, sdtw::hardwareConfig(), 16, true),
-        FatalError);
+    EXPECT_THROW(AsicBackend(bad_clock, sdtw::hardwareConfig(), 16),
+                 FatalError);
+}
+
+TEST(AsicBackendModel, SerialFoldRequestIsFatal)
+{
+    // Every backend folds lane batches; the factory's last parameter
+    // survives for one external caller and must be true.
+    for (const auto kind : {stream::DecisionBackendKind::Software,
+                            stream::DecisionBackendKind::Asic})
+        EXPECT_THROW(stream::makeDecisionBackend(kind, stream::AsicSpec{},
+                                                 sdtw::hardwareConfig(),
+                                                 16, false),
+                     FatalError);
 }
 
 // ---------------------------------------------------------------- //
@@ -926,7 +935,7 @@ TEST_F(BackendParityTest, MixedDispatchFoldsOnceModellingOnlyAsicRequests)
     constexpr std::size_t kRequests = 4;
     const auto backend = stream::makeDecisionBackend(
         stream::DecisionBackendKind::Asic, stream::AsicSpec{},
-        classifier().config(), 16, /*lane_batching=*/true);
+        classifier().config(), 16);
     const auto &reads = sessionReads(0).reads;
     ASSERT_GE(reads.size(), kRequests);
     std::vector<sdtw::ClassifierStream> streams;

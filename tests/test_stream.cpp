@@ -134,6 +134,30 @@ class SessionTest : public ::testing::Test
         }();
         return result;
     }
+
+    /** config() with near-instant captures and every decision held
+        for one chunk period: each busy channel always has a decision
+        in flight, and its chunks surface with every other channel's. */
+    static SessionConfig
+    heldConfig()
+    {
+        SessionConfig cfg = config();
+        cfg.captureDelayMeanSec = 1e-3;
+        cfg.decisionLatencySec = cfg.chunkSeconds;
+        return cfg;
+    }
+
+    static const SessionResult &
+    heldRun()
+    {
+        static const SessionResult result = [] {
+            const auto &data =
+                pipeline::makeStreamDataset(kDatasetReads, 0.5, 12);
+            return ReadUntilSession(classifier(), heldConfig())
+                .run(data.reads);
+        }();
+        return result;
+    }
 };
 
 // ---------------------------------------------------------------- //
@@ -197,31 +221,45 @@ TEST_F(SessionTest, DecisionLogDeterministicAcrossWorkerCounts)
     }
 }
 
-TEST_F(SessionTest, LaneBatchedWorkersMatchSerialWorkersBitExactly)
+TEST_F(SessionTest, LaneBatchedWorkersMatchOfflineClassifyBitExactly)
 {
-    // The SIMD lane-batched worker path and the serial per-request
-    // path must produce the same decision log, costs included — lane
-    // batching may only change wall-clock throughput.
+    // Held decisions keep each wave of chunks queued together, so
+    // 16-wide dispatches reach the lane kernel, while heldRun()'s
+    // 4-wide ones stay below every backend's serial cutover and fold
+    // on the serial engine.  Both logs must equal the offline
+    // classifier's calls, costs and DP work included — the fold width
+    // may only change wall-clock throughput.
     const auto &data = pipeline::makeStreamDataset(kDatasetReads, 0.5, 12);
-    const auto &batched_run = baselineRun(); // laneBatching defaults on
-
-    SessionConfig cfg = config();
-    cfg.laneBatching = false;
-    const auto serial_run =
+    const auto &thin_run = heldRun();
+    SessionConfig cfg = heldConfig();
+    cfg.dispatchBatch = 16;
+    const auto wide_run =
         ReadUntilSession(classifier(), cfg).run(data.reads);
-    ASSERT_EQ(serial_run.log.size(), batched_run.log.size());
-    for (std::size_t i = 0; i < serial_run.log.size(); ++i) {
-        const auto &a = batched_run.log[i];
-        const auto &b = serial_run.log[i];
+    ASSERT_EQ(wide_run.log.size(), thin_run.log.size());
+    std::uint64_t offline_rows = 0;
+    for (std::size_t i = 0; i < wide_run.log.size(); ++i) {
+        const auto &a = thin_run.log[i];
+        const auto &b = wide_run.log[i];
         EXPECT_EQ(a.readId, b.readId);
         EXPECT_EQ(a.channel, b.channel);
-        EXPECT_EQ(a.keep, b.keep);
-        EXPECT_EQ(a.cost, b.cost);
-        EXPECT_EQ(a.samplesUsed, b.samplesUsed);
-        EXPECT_EQ(a.stagesRun, b.stagesRun);
+        const auto &read = data.reads[std::size_t(b.readId)];
+        ASSERT_EQ(read.id, b.readId);
+        // classify(read.raw), spelled out so its DP rows can be summed.
+        sdtw::ClassifierStream stream = classifier().beginStream();
+        classifier().feedChunk(stream, read.raw);
+        const auto offline = classifier().finishStream(stream);
+        offline_rows += stream.rowsFolded;
+        for (const DecisionRecord *rec : {&a, &b}) {
+            EXPECT_EQ(rec->keep, offline.keep) << "record " << i;
+            EXPECT_EQ(rec->cost, offline.cost) << "record " << i;
+            EXPECT_EQ(rec->samplesUsed, offline.samplesUsed)
+                << "record " << i;
+            EXPECT_EQ(rec->stagesRun, offline.stagesRun)
+                << "record " << i;
+        }
     }
-    EXPECT_EQ(serial_run.stats.dpRowsFolded,
-              batched_run.stats.dpRowsFolded);
+    EXPECT_EQ(wide_run.stats.dpRowsFolded, offline_rows);
+    EXPECT_EQ(thin_run.stats.dpRowsFolded, offline_rows);
 }
 
 TEST_F(SessionTest, DecisionLogDeterministicUnderTightBackpressure)
@@ -405,14 +443,33 @@ TEST_F(SessionTest, MidStreamTeardownUnderLoadShutsDownCleanly)
     // flight: the safety limit breaks the event loop with requests
     // queued and workers folding.  Teardown must drain, join, and
     // report consistent partial statistics — under TSan this pins
-    // the close()/join() ordering against the worker pool.
+    // the close()/join() ordering against the worker pool.  Held
+    // decisions leave every busy channel one in flight at the stop.
     const auto &data = pipeline::makeStreamDataset(kDatasetReads, 0.5, 12);
-    SessionConfig cfg = config();
+    SessionConfig cfg = heldConfig();
     cfg.workers = 4;
     cfg.queueCapacity = 2; // keep the event source blocked on push
     cfg.maxVirtualHours = 2.0 / 3600.0; // 2 virtual seconds
-    const auto result =
-        ReadUntilSession(classifier(), cfg).run(data.reads);
+
+    // The pool run() builds, driven here so its counters stay
+    // readable after the run.
+    PoolConfig pool_config;
+    pool_config.workers = cfg.workers;
+    pool_config.queueCapacity = cfg.queueCapacity;
+    pool_config.dispatchBatch = cfg.dispatchBatch;
+    pool_config.statBurst = 1;
+    pool_config.dispatchLingerUs = 0;
+    DecisionPool pool(pool_config);
+    const std::uint32_t id =
+        pool.registerSession(QosClass::Stat, cfg.backend);
+    pool.start(classifier().config(), cfg.asic);
+    const auto result = ReadUntilSession(classifier(), cfg)
+                            .runShared(pool, data.reads, id);
+    pool.shutdown();
+    // The teardown drained at least one folded decision that the stop
+    // kept out of the log.
+    EXPECT_GT(pool.counters().dispatchedRequests.load(),
+              result.stats.decisions);
     // Only a fraction of the flowcell run fits in two virtual
     // seconds: the session must stop early, not finish the dataset.
     EXPECT_LT(result.log.size(), data.reads.size());
@@ -426,8 +483,10 @@ TEST_F(SessionTest, MidStreamTeardownUnderLoadShutsDownCleanly)
 
     // Stopping early only cuts the log: it is the full run's log up to
     // the stop, field for field, and the teardown that awaited the
-    // in-flight decisions left every emitted chunk accounted.
-    const auto &full = baselineRun();
+    // in-flight decisions left every emitted chunk accounted.  Workers
+    // and queue capacity never change a log, so heldRun() is this
+    // configuration's full run.
+    const auto &full = heldRun();
     const double stop_sec = cfg.maxVirtualHours * 3600.0;
     ASSERT_GT(result.log.size(), 0u);
     ASSERT_LT(result.log.size(), full.log.size());
@@ -463,7 +522,6 @@ TEST_F(SessionTest, RaggedLaneRefillUnderContentionStaysDeterministic)
     cfg.workers = 4;
     cfg.queueCapacity = 4;  // constant backpressure
     cfg.dispatchBatch = 8;  // wide, frequently ragged lane batches
-    ASSERT_TRUE(cfg.laneBatching);
     const auto contended =
         ReadUntilSession(classifier(), cfg).run(data.reads);
 
