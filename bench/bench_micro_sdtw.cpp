@@ -299,6 +299,52 @@ BM_BatchSdtwResumedBackend(benchmark::State &state,
         benchmark::Counter(double(kernel.laneWidth()));
 }
 
+/**
+ * Columns-in-lanes kernel: B fresh 2000-sample reads folded below the
+ * lane cutover on the best backend, one read's consecutive columns
+ * per vector.  cells/s is aggregate over the reads, comparable with
+ * BM_QuantSdtw's single-read rate.  A host whose backend keeps thin
+ * calls on the serial engine skips loudly.
+ */
+void
+BM_ColumnSdtw(benchmark::State &state)
+{
+    const auto reads_n = std::size_t(state.range(0));
+    const auto ref_len = std::size_t(state.range(1));
+    constexpr std::size_t kQueryLen = 2000;
+
+    std::vector<std::vector<NormSample>> queries(reads_n);
+    for (std::size_t i = 0; i < reads_n; ++i)
+        queries[i] = randomQuant(kQueryLen, 100 + i);
+    const auto ref = randomQuant(ref_len, 2);
+
+    sdtw::BatchSdtw kernel(sdtw::hardwareConfig(), reads_n);
+    kernel.setSerialCutover(std::numeric_limits<std::size_t>::max());
+    std::vector<sdtw::QuantSdtw::State> states(reads_n);
+    std::vector<sdtw::BatchLane> lanes(reads_n);
+
+    for (auto _ : state) {
+        for (std::size_t i = 0; i < reads_n; ++i) {
+            states[i].reset();
+            lanes[i].state = &states[i];
+            lanes[i].query = queries[i];
+        }
+        kernel.processMany(lanes, ref);
+        benchmark::DoNotOptimize(lanes[0].result.cost);
+        if (kernel.foldStats().columnCalls == 0) {
+            state.SkipWithError("no columns kernel on this host");
+            return;
+        }
+    }
+    state.SetItemsProcessed(std::int64_t(state.iterations()) *
+                            std::int64_t(reads_n) *
+                            std::int64_t(kQueryLen) *
+                            std::int64_t(ref_len));
+    setThroughputCounters(state, double(reads_n) * double(kQueryLen),
+                          double(ref_len));
+}
+BENCHMARK(BM_ColumnSdtw)->Args({1, 59796})->Args({2, 59796});
+
 void
 BM_SystolicArraySim(benchmark::State &state)
 {

@@ -12,7 +12,11 @@ Ten rules, each encoding a correctness contract of this codebase:
                            the pin loop would ship unverified SIMD.
                            Any other src/sdtw/batch_<isa>.cpp is a
                            finding: a backend the rule does not list
-                           would skip all three checks.
+                           would skip all three checks.  The golden-
+                           pin test and the columns kernel's
+                           differential test must each exist and
+                           iterate availableBackends() in their own
+                           body, so neither kernel loses its oracle.
 
   concurrency-containment  No raw concurrency primitives
                            (std::mutex, std::thread, std::atomic,
@@ -194,7 +198,24 @@ BACKEND_ENUMERATORS = {
     "avx512": "SimdBackend::Avx512",
 }
 
-GOLDEN_PIN_TEST = "GoldenCostsMatchSeedImplementation"
+# Tests that must run every available backend against an oracle:
+# test name -> what goes unchecked without it.
+ORACLE_TESTS = {
+    "GoldenCostsMatchSeedImplementation":
+        "the SIMD backends are no longer pinned to the seed costs",
+    "ColumnsDifferentialAgainstPlainDp":
+        "the columns kernel is no longer checked against the plain DP",
+}
+
+
+def test_body(text: str, name: str):
+    """Text of TEST(..., name) up to the next TEST, or None."""
+    m = re.search(r"\bTEST(?:_F|_P)?\(\s*\w+\s*,\s*%s\s*\)" % name,
+                  text)
+    if m is None:
+        return None
+    end = re.search(r"^TEST(?:_F|_P)?\(", text[m.end():], re.M)
+    return text[m.end():m.end() + end.start() if end else len(text)]
 
 
 def rule_simd_backend_integrity(root: Path, findings: List[Finding]):
@@ -203,17 +224,17 @@ def rule_simd_backend_integrity(root: Path, findings: List[Finding]):
     test_path = root / "tests" / "test_batch.cpp"
     test_text = test_path.read_text() if test_path.exists() else ""
 
-    if GOLDEN_PIN_TEST not in test_text:
-        findings.append(
-            Finding(rule, "tests/test_batch.cpp",
-                    f"golden-pin test {GOLDEN_PIN_TEST} is gone; the "
-                    "SIMD backends are no longer pinned to the seed "
-                    "costs"))
-    elif "availableBackends()" not in test_text.split(GOLDEN_PIN_TEST, 1)[1]:
-        findings.append(
-            Finding(rule, "tests/test_batch.cpp",
-                    f"{GOLDEN_PIN_TEST} no longer iterates "
-                    "availableBackends(); backends can skip the pins"))
+    for name, loss in ORACLE_TESTS.items():
+        body = test_body(test_text, name)
+        if body is None:
+            findings.append(
+                Finding(rule, "tests/test_batch.cpp",
+                        f"test {name} is gone; {loss}"))
+        elif "availableBackends()" not in body:
+            findings.append(
+                Finding(rule, "tests/test_batch.cpp",
+                        f"{name} no longer iterates availableBackends(); "
+                        "backends can skip it"))
 
     for tu in sorted((root / "src" / "sdtw").glob("batch_*.cpp")):
         backend = tu.stem[len("batch_"):]

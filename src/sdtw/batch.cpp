@@ -72,6 +72,23 @@ resolveFold(SimdBackend backend, [[maybe_unused]] const SdtwConfig &config,
     }
 }
 
+/** The serial engine's post-fold summary of a checkpointed row. */
+QuantSdtw::Result
+summarise(const QuantSdtw::State &state)
+{
+    QuantSdtw::Result result;
+    result.rows = state.rowsDone;
+    result.cost = state.row[0];
+    result.refEnd = 0;
+    for (std::size_t j = 1; j < state.row.size(); ++j) {
+        if (state.row[j] < result.cost) {
+            result.cost = state.row[j];
+            result.refEnd = j;
+        }
+    }
+    return result;
+}
+
 } // namespace
 
 const char *
@@ -124,10 +141,11 @@ BatchSdtw::BatchSdtw(SdtwConfig config, std::size_t lane_capacity,
     }
     width_ = simdLaneWidth(backend_);
     capacity_ = (lane_capacity + width_ - 1) / width_ * width_;
-    serialCutover_ =
-        std::max(kDefaultSerialCutover, width_ * 3 / 4);
     bonusUnit_ = Cost(std::llround(config.matchBonus));
     fold_ = resolveFold(backend_, config, config.matchBonus > 0.0);
+    serialCutover_ = fold_.columns != nullptr
+                         ? width_
+                         : std::max(kDefaultSerialCutover, width_ * 3 / 4);
 }
 
 void
@@ -216,17 +234,22 @@ BatchSdtw::processMany(std::span<BatchLane> lanes,
     const bool fits = validate(lanes, reference);
     if (backend_ == SimdBackend::Serial || !fits ||
         lanes.size() < std::max<std::size_t>(serialCutover_, 1)) {
-        // Tiny batches: the serial engine (vectorised along the
-        // reference) wastes no lanes.  Results are identical.  For
-        // the occupancy accounting a serial fold of b jobs on a
-        // W-lane machine uses 1/W of the width it could have.  A
-        // call with a lane that could saturate folds here too: the
-        // serial engine's adds saturate, the batched kernel's wrap.
-        // The Serial backend has no lane kernel and folds every call
-        // here.
+        // Thin calls: the columns kernel puts one read's columns in
+        // the lanes, so it wastes none.  The occupancy accounting
+        // still charges b jobs b * W slots, as it did when every
+        // thin call folded on the serial engine.  That engine still
+        // takes a call with a lane that could saturate (its adds
+        // saturate, the SIMD kernels' wrap), reference-deletion
+        // configs and AVX2 (no columns kernel) and the Serial
+        // backend (no SIMD kernel at all).
         foldStats_.serialCalls += 1;
         foldStats_.laneJobs += lanes.size();
         foldStats_.laneSlots += lanes.size() * width_;
+        if (fits && fold_.columns != nullptr) {
+            foldStats_.columnCalls += 1;
+            runColumns(lanes, reference);
+            return;
+        }
         for (BatchLane &lane : lanes)
             lane.result =
                 engine_.process(lane.query, reference, *lane.state);
@@ -236,6 +259,32 @@ BatchSdtw::processMany(std::span<BatchLane> lanes,
     foldStats_.laneJobs += lanes.size();
     foldStats_.laneSlots += ((lanes.size() + width_ - 1) / width_) * width_;
     runBatched(lanes, reference);
+}
+
+void
+BatchSdtw::runColumns(std::span<BatchLane> lanes,
+                      std::span<const NormSample> reference)
+{
+    const std::size_t m = reference.size();
+    const auto cap = std::uint8_t(config().dwellCap);
+    for (BatchLane &lane : lanes) {
+        QuantSdtw::State &state = *lane.state;
+        std::span<const NormSample> query = lane.query;
+        if (state.empty()) {
+            // Free-start row, seeded as the serial engine seeds it.
+            state.row.resize(m);
+            state.dwell.assign(m, 1);
+            for (std::size_t j = 0; j < m; ++j)
+                state.row[j] = engine_.pointCost(query[0], reference[j]);
+            state.rowsDone = 1;
+            query = query.subspan(1);
+        }
+        fold_.columns(query.data(), query.size(), reference.data(), m,
+                      state.row.data(), state.dwell.data(), bonusUnit_,
+                      cap);
+        state.rowsDone += query.size();
+        lane.result = summarise(state);
+    }
 }
 
 void
@@ -284,18 +333,7 @@ BatchSdtw::runBatched(std::span<BatchLane> lanes,
             state.dwell[j] = dwell_[j * width + s];
         }
         state.rowsDone = slot.rowsDone;
-
-        QuantSdtw::Result result;
-        result.rows = slot.rowsDone;
-        result.cost = state.row[0];
-        result.refEnd = 0;
-        for (std::size_t j = 1; j < m; ++j) {
-            if (state.row[j] < result.cost) {
-                result.cost = state.row[j];
-                result.refEnd = j;
-            }
-        }
-        lane.result = result;
+        lane.result = summarise(state);
         slot.lane = -1;
         --occupied;
     };

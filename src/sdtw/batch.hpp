@@ -31,6 +31,15 @@
  * bit-identical to the serial QuantSdtw engine for every configuration
  * (tests/test_batch.cpp pins this).
  *
+ * A call with fewer reads than the lane cutover would leave most
+ * lanes idle, so it takes a thin path.  On AVX-512 that is the
+ * columns kernel (batch_kernel.hpp): one vector holds 16 consecutive
+ * reference columns of one read, folded in place in the read's own
+ * checkpoint, one read after another.  It needs a DP row to depend
+ * only on the row above, so reference-deletion configs fold thin
+ * calls on the serial engine, as does AVX2, whose form of the kernel
+ * measured slower than the serial engine.
+ *
  * The batched fold adds costs without saturating.  That is exact only
  * while no cost can pass kCostMax, so each call first bounds every
  * lane (resumed row maximum + query length x widest cell cost, see
@@ -101,8 +110,12 @@ struct BatchLane
  * SIMD-slot utilisation counters, accumulated across processMany()
  * calls.  A call with b jobs on a W-lane backend pays for
  * roundup(b, W) vector slots when it takes the batched path, and for
- * b * W slots when it falls below the serial cutover (a W-wide
- * machine folding one read at a time uses 1/W of its lanes).  The
+ * b * W slots when it falls below the cutover (a W-wide machine
+ * folding one read at a time uses 1/W of its lanes).  Thin calls
+ * keep that charge and their serialCalls count whether they fold on
+ * the serial engine or on the columns kernel, so occupancy and the
+ * serial share stay comparable with records taken before the columns
+ * kernel; columnCalls says how many took it.  The
  * ratio laneJobs/laneSlots is therefore the fraction of the SIMD
  * width doing useful work — the "lane occupancy" the fleet stats
  * snapshot and BENCH_fleet.json report.  Counters are plain integers
@@ -111,7 +124,10 @@ struct BatchLane
 struct FoldStats
 {
     std::uint64_t batchedCalls = 0; //!< processMany calls folded wide
-    std::uint64_t serialCalls = 0;  //!< calls below the serial cutover
+    std::uint64_t serialCalls = 0;  //!< calls below the cutover (thin)
+    /** The serialCalls that folded on the columns kernel, not on the
+        serial engine. */
+    std::uint64_t columnCalls = 0;
     std::uint64_t laneJobs = 0;     //!< lanes that carried a real read
     std::uint64_t laneSlots = 0;    //!< vector slots paid for them
     /** Column tiles walked by batched row blocks (1 per block when
@@ -136,14 +152,18 @@ class BatchSdtw
     static constexpr std::size_t kDefaultLaneCapacity = 32;
 
     /**
-     * Floor of the serial-vs-batched crossover.  The effective
-     * default scales with the backend: a batch always folds whole
-     * vector groups, so b jobs on a W-lane backend pay for
-     * roundup(b, W) lanes of work — below roughly 3/4 of a group the
-     * wasted lanes cost more than the SIMD gain and the serial engine
-     * (itself vectorised along the reference) wins.  The constructor
-     * therefore sets the cutover to max(kDefaultSerialCutover,
-     * 3 * laneWidth() / 4); setSerialCutover() overrides.
+     * Floor of the thin-vs-batched crossover.  The effective default
+     * scales with the backend: a batch always folds whole vector
+     * groups, so b jobs on a W-lane backend pay for roundup(b, W)
+     * lanes of work, and below some share of a group the wasted
+     * lanes cost more than the thin path.  Where the backend has a
+     * columns kernel for the config, thin calls run at ~7 G cells/s,
+     * level with the batched kernel at 15 of 16 AVX-512 lanes and
+     * ahead below, so every call short of one full vector group is
+     * thin: the cutover is laneWidth().  Elsewhere thin calls fold
+     * on the serial engine (itself vectorised along the reference)
+     * and the cutover stays max(kDefaultSerialCutover,
+     * 3 * laneWidth() / 4).  setSerialCutover() overrides either.
      */
     static constexpr std::size_t kDefaultSerialCutover = 4;
 
@@ -170,17 +190,18 @@ class BatchSdtw
      * — same costs, same refEnd, same checkpointed row/dwell, bit for
      * bit — but up to laneCapacity() lanes advance per row fold, and
      * retired lanes are refilled from the remaining ones.  Calls
-     * below the serial cutover, with a lane whose costs could
-     * saturate, or on the Serial backend run the serial engine
-     * instead.
+     * below the cutover fold on the columns kernel where the backend
+     * has one for the config, and on the serial engine otherwise.
+     * Calls with a lane whose costs could saturate, and every call on
+     * the Serial backend, run the serial engine.
      */
     void processMany(std::span<BatchLane> lanes,
                      std::span<const NormSample> reference);
 
     /**
-     * Serial-vs-batched crossover threshold; 0 or 1 forces every call
-     * through the batched path (used by tests and benches).  The
-     * Serial backend ignores it.
+     * Thin-vs-batched crossover threshold; 0 or 1 forces every call
+     * through the batched path, SIZE_MAX every call through the thin
+     * one (used by tests and benches).  The Serial backend ignores it.
      */
     void setSerialCutover(std::size_t min_lanes);
 
@@ -217,6 +238,8 @@ class BatchSdtw
     bool validate(std::span<BatchLane> lanes,
                   std::span<const NormSample> reference) const;
     void runBatched(std::span<BatchLane> lanes,
+                    std::span<const NormSample> reference);
+    void runColumns(std::span<BatchLane> lanes,
                     std::span<const NormSample> reference);
 
     QuantSdtw engine_; //!< validates config; serial fallback path

@@ -24,6 +24,13 @@ struct Avx2Ops
 {
     static constexpr int kMaxStrip = 4;
     static constexpr std::size_t W = 8;
+    // No columns kernel: its one-lane shift costs vperm2i128 plus
+    // vpalignr here, and the unsigned compare and dwell select take
+    // three ops each.  On a 4-core AVX-512 Xeon (gcc 12.2) it folded
+    // one read at 2.4-2.5 G cells/s and two at 2.5-3.0 G, below the
+    // serial engine's 3.0-3.7 G, so thin calls on this backend fold
+    // on the serial engine.
+    static constexpr bool kColumns = false;
     using Vec = __m256i;
     using Mask = __m256i;
 

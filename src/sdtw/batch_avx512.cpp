@@ -27,6 +27,8 @@ struct Avx512Ops
     // deletion inner loops run without spills.
     static constexpr int kMaxStrip = 8;
     static constexpr std::size_t W = 16;
+    // Thin calls fold on the columns kernel (shiftInLane, loadRef).
+    static constexpr bool kColumns = true;
     using Vec = __m512i;
     using Mask = __mmask16;
 
@@ -37,6 +39,12 @@ struct Avx512Ops
     }
     static Vec loadU32(const Cost *p) { return _mm512_loadu_si512(p); }
     static void storeU32(Cost *p, Vec v) { _mm512_storeu_si512(p, v); }
+    /** W consecutive reference samples, sign-extended. */
+    static Vec loadRef(const NormSample *p)
+    {
+        return _mm512_cvtepi8_epi32(
+            _mm_loadu_si128(reinterpret_cast<const __m128i *>(p)));
+    }
     static Vec loadDwell(const std::uint8_t *p)
     {
         return _mm512_cvtepu8_epi32(
@@ -76,6 +84,11 @@ struct Avx512Ops
     static Vec shrI32(Vec v, int count)
     {
         return _mm512_srl_epi32(v, _mm_cvtsi32_si128(count));
+    }
+    /** [prev lane 15, cur lanes 0..14]: one valignd. */
+    static Vec shiftInLane(Vec cur, Vec prev)
+    {
+        return _mm512_alignr_epi32(cur, prev, 15);
     }
     /**
      * kgt ? min(dw + one, cap) : one as a zero-masked min plus one add

@@ -3,7 +3,8 @@
 
 /**
  * @file
- * Internal lane-batched sDTW row kernel, shared by every SIMD backend.
+ * Internal lane-batched and columns-in-lanes sDTW kernels, shared by
+ * every SIMD backend.
  *
  * The batched engine lays B independent reads out struct-of-arrays:
  * DP row and dwell buffers are interleaved `[column][lane]`, so one
@@ -12,8 +13,17 @@
  * call — the inter-sequence parallelisation of the classic SIMD
  * Smith-Waterman trick, applied to the paper's sDTW recurrence.
  *
+ * Calls below the lane cutover leave most of those lanes idle, so
+ * foldColumns() turns the layout around: one vector holds W
+ * consecutive reference columns of ONE read, in place in the read's
+ * own contiguous checkpoint, and the diagonal predecessor is the row
+ * above shifted one lane (the single-read systolic wavefront of the
+ * paper's §5.1; Farrar's striped layout without its in-row
+ * dependency).  It needs reference deletions off, where S[i][j]
+ * depends on row i-1 alone.
+ *
  * Each backend translation unit (batch_avx2.cpp, batch_avx512.cpp)
- * instantiates the template below with its own `Ops` vector-trait
+ * instantiates the templates below with its own `Ops` vector-trait
  * struct and exports a resolver that maps an SdtwConfig onto the right
  * specialisation.  The recurrence is
  * kept expression-for-expression identical to SdtwEngine::foldRow in
@@ -29,13 +39,19 @@
  *   ltU32/gtU32 (unsigned compares producing a Mask),
  *   select(mask, if_true, if_false), and dwellBump (the fused
  *   `kgt ? min(dw + one, cap) : one` update — AVX-512 folds it into a
- *   zero-masked min plus one add).
+ *   zero-masked min plus one add), and kColumns.  Where kColumns is
+ *   true it also provides the columns kernel's two: loadRef (W int8
+ *   reference samples, sign-extended) and shiftInLane(cur, prev)
+ *   (`[prev[W-1], cur[0 .. W-2]]`, one valignd on AVX-512).  AVX2
+ *   sets it false: its two-op shift and three-op compare and select
+ *   left the kernel slower than the serial engine, so its thin calls
+ *   stay serial.
  *
- * The batched fold never saturates, so its cost add is a plain
- * addI32.  Proof: every cell is `best + cell` with best <= the
- * vertical predecessor S[i-1][j] (the first column has only that
- * predecessor), and the bonus only subtracts, so a row's maximum grows
- * by at most the largest cell cost per folded row — 255 for
+ * Neither fold saturates, so the cost add is a plain addI32.  Proof:
+ * every cell is `best + cell` with best <= the vertical predecessor
+ * S[i-1][j] (the first column has only that predecessor), and the
+ * bonus only subtracts, so a row's maximum grows by at most the
+ * largest cell cost per folded row — 255 for
  * AbsoluteDifference and 255^2 for SquaredDifference, the widest int8
  * difference.  BatchSdtw::validate() bounds every lane by its resumed
  * row maximum plus query length times that cost, and routes the whole
@@ -116,14 +132,31 @@ using FoldRowFn = void (*)(const std::int32_t *q, const NormSample *ref,
                            std::uint8_t cap, Cost *carry,
                            bool lead_tile);
 
+/**
+ * Fold @p n query rows of one read in place, W consecutive columns
+ * per vector (foldColumns below).  @p row / @p dwell are the read's
+ * own contiguous DP state, length @p m.
+ */
+using FoldColumnsFn = void (*)(const NormSample *q, std::size_t n,
+                               const NormSample *ref, std::size_t m,
+                               Cost *row, std::uint8_t *dwell,
+                               Cost bonus_unit, std::uint8_t cap);
+
+/** Column blocks one columns sweep folds side by side (measured: 3
+ * and 4 fold within noise of each other, 1.4x one block). */
+inline constexpr std::size_t kColumnsUnroll = 3;
+
 /** Strip variants a backend offers; the driver picks the deepest one
- * every in-flight lane has enough remaining samples for. */
+ * every in-flight lane has enough remaining samples for.  The columns
+ * fold is null on backends without kColumns and for reference-
+ * deletion configs, whose in-row dependency it cannot carry. */
 struct FoldRowFns
 {
     FoldRowFn fold1 = nullptr; //!< 1 row per sweep
     FoldRowFn fold2 = nullptr; //!< 2 rows per sweep
     FoldRowFn fold4 = nullptr; //!< 4 rows per sweep
     FoldRowFn fold8 = nullptr; //!< 8 rows per sweep (kMaxStrip 8 only)
+    FoldColumnsFn columns = nullptr; //!< thin calls, one read a sweep
 };
 
 /** Pointwise cost with the metric resolved at compile time. */
@@ -335,6 +368,154 @@ foldRowBatch(const std::int32_t *SF_BATCH_RESTRICT q,
     }
 }
 
+/**
+ * One columns-in-lanes sweep: fold rows i .. i+N-1 of one read in
+ * place in its contiguous row/dwell buffers, one vector holding W
+ * consecutive reference columns.
+ *
+ * Without reference deletions S[i][j] depends only on row i-1, so a
+ * row's W columns fold at once; the diagonal predecessor is the row
+ * above shifted one lane up.  Per strip row t the sweep carries one
+ * register, `carry[t]`: the previous column block's `pre` (the row
+ * above minus its reward, unshifted), whose top lane the shift moves
+ * into lane 0.  Seeded with kCostMax, column 0's diagonal loses to
+ * any vertical cost validate() admits (every folded input stays below
+ * kCostMax), so lane 0 of the first block takes the vertical move as
+ * SdtwEngine::foldRow's first column does.  The reward is carried
+ * pre-scaled in BonusMode::Shift, exactly as foldRowBatch does, and
+ * dwell is converted to and from its u8 storage on block load/store.
+ *
+ * A block's strip rows form one dependency chain, each waiting on
+ * the row above, but block u+1 needs only block u's `pre` of the
+ * same row.  So the sweep folds kColumnsUnroll blocks side by side,
+ * row by row, and they fill each other's latency gaps (the job a
+ * second read per sweep did in the prototype, measured no faster).
+ * The final `m mod W` columns fold in a padded stack block; its pad
+ * lanes sit above the last column, and the one-lane shift only moves
+ * values upward, so they feed no real column.
+ */
+template <class Ops, bool Squared, BonusMode Bonus, std::size_t N>
+void
+foldColumnsStrip(const NormSample *SF_BATCH_RESTRICT q,
+                 const NormSample *SF_BATCH_RESTRICT ref, std::size_t m,
+                 Cost *SF_BATCH_RESTRICT row,
+                 std::uint8_t *SF_BATCH_RESTRICT dwell, Cost bonus_unit,
+                 std::uint8_t cap)
+{
+    using Vec = typename Ops::Vec;
+    constexpr std::size_t W = Ops::W;
+    constexpr bool UseBonus = Bonus != BonusMode::Off;
+    constexpr bool Prescaled = Bonus == BonusMode::Shift;
+    int shift = 0;
+    if constexpr (Prescaled) {
+        while ((Cost(1) << shift) < bonus_unit)
+            ++shift;
+    }
+    const Vec capv = Ops::broadcast(std::int32_t(cap) << shift);
+    const Vec capm1v = Ops::broadcast((std::int32_t(cap) - 1) << shift);
+    const Vec onev = Ops::broadcast(std::int32_t(1) << shift);
+    const Vec bonusv = Ops::broadcast(std::int32_t(bonus_unit));
+
+    Vec qv[N], carry[N];
+    for (std::size_t t = 0; t < N; ++t) {
+        qv[t] = Ops::broadcast(std::int32_t(q[t]));
+        carry[t] = Ops::broadcast(std::int32_t(kCostMax));
+    }
+
+    // Fold U consecutive W-column blocks through the N strip rows.
+    const auto blocks = [&](auto unroll, const NormSample *rp, Cost *rb,
+                            std::uint8_t *db) {
+        constexpr std::size_t U = decltype(unroll)::value;
+        Vec refv[U], in[U], dw[U];
+        for (std::size_t u = 0; u < U; ++u) {
+            refv[u] = Ops::loadRef(rp + u * W);
+            in[u] = Ops::loadU32(rb + u * W);
+            dw[u] = Ops::loadDwell(db + u * W);
+            if constexpr (Prescaled)
+                dw[u] = Ops::shlI32(dw[u], shift);
+        }
+        for (std::size_t t = 0; t < N; ++t) {
+            for (std::size_t u = 0; u < U; ++u) {
+                Vec pre = in[u];
+                if constexpr (UseBonus) {
+                    Vec reward = dw[u];
+                    if constexpr (!Prescaled)
+                        reward = Ops::mulI32(bonusv, reward);
+                    pre = satSubV<Ops>(pre, reward);
+                }
+                const Vec diag = Ops::shiftInLane(pre, carry[t]);
+                carry[t] = pre;
+                // The compare, min and dwell update of foldRowBatch.
+                const auto kgt = Ops::gtU32(diag, in[u]);
+                const Vec best = Ops::minU32(diag, in[u]);
+                dw[u] = Ops::dwellBump(dw[u], onev, capv, capm1v, kgt);
+                in[u] = Ops::addI32(
+                    best, cellCostV<Ops, Squared>(qv[t], refv[u]));
+            }
+        }
+        for (std::size_t u = 0; u < U; ++u) {
+            Ops::storeU32(rb + u * W, in[u]);
+            if constexpr (Prescaled)
+                dw[u] = Ops::shrI32(dw[u], shift);
+            Ops::storeDwell(db + u * W, dw[u]);
+        }
+    };
+
+    std::size_t j = 0;
+    const auto advance = [&](auto unroll) {
+        constexpr std::size_t U = decltype(unroll)::value;
+        for (; j + U * W <= m; j += U * W)
+            blocks(unroll, ref + j, row + j, dwell + j);
+    };
+    advance(std::integral_constant<std::size_t, kColumnsUnroll>{});
+    advance(std::integral_constant<std::size_t, 1>{});
+    if (j == m)
+        return;
+    // The last m mod W columns: a padded stack block whose first
+    // `left` lanes are real.
+    const std::size_t left = m - j;
+    NormSample tref[W] = {};
+    Cost trow[W] = {};
+    std::uint8_t tdw[W] = {};
+    for (std::size_t c = 0; c < left; ++c) {
+        tref[c] = ref[j + c];
+        trow[c] = row[j + c];
+        tdw[c] = dwell[j + c];
+    }
+    blocks(std::integral_constant<std::size_t, 1>{}, tref, trow, tdw);
+    for (std::size_t c = 0; c < left; ++c) {
+        row[j + c] = trow[c];
+        dwell[j + c] = tdw[c];
+    }
+}
+
+/** Columns-in-lanes fold of one read (FoldColumnsFn), deepest strip
+ * first. */
+template <class Ops, bool Squared, BonusMode Bonus>
+void
+foldColumns(const NormSample *q, std::size_t n, const NormSample *ref,
+            std::size_t m, Cost *row, std::uint8_t *dwell,
+            Cost bonus_unit, std::uint8_t cap)
+{
+    constexpr std::size_t kDeep = std::size_t(Ops::kMaxStrip);
+    for (std::size_t r = 0; r < n;) {
+        const auto sweep = [&](auto depth) {
+            foldColumnsStrip<Ops, Squared, Bonus, depth.value>(
+                q + r, ref, m, row, dwell, bonus_unit, cap);
+            r += depth.value;
+        };
+        const std::size_t left = n - r;
+        if (left >= kDeep)
+            sweep(std::integral_constant<std::size_t, kDeep>{});
+        else if (kDeep > 4 && left >= 4)
+            sweep(std::integral_constant<std::size_t, 4>{});
+        else if (left >= 2)
+            sweep(std::integral_constant<std::size_t, 2>{});
+        else
+            sweep(std::integral_constant<std::size_t, 1>{});
+    }
+}
+
 /** Map runtime config switches to the right template instantiations. */
 template <class Ops>
 FoldRowFns
@@ -363,6 +544,8 @@ resolveFoldRow(const SdtwConfig &config, bool use_bonus)
         fns.fold4 = &foldRowBatch<Ops, S, R, B, 4>;
         if constexpr (Ops::kMaxStrip >= 8)
             fns.fold8 = &foldRowBatch<Ops, S, R, B, 8>;
+        if constexpr (Ops::kColumns && !R)
+            fns.columns = &foldColumns<Ops, S, B>;
         return fns;
     };
     const auto with_bonus = [&](auto squared, auto refdel) {

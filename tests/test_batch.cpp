@@ -58,6 +58,14 @@ availableBackends()
     return out;
 }
 
+/** Whether @p backend folds thin calls on the columns kernel (the
+    AVX2 one measured slower than the serial engine and has none). */
+bool
+hasColumns(SimdBackend backend)
+{
+    return backend == SimdBackend::Avx512;
+}
+
 std::vector<SdtwConfig>
 allConfigs()
 {
@@ -523,25 +531,38 @@ TEST(BatchSdtwTest, CeilingRoutesUnprovableCallsSerially)
             std::fill(queries[0].begin(), queries[0].end(),
                       NormSample(127));
 
+            // Above the cutover a provable call folds batched; below
+            // it, on the columns kernel where the backend has one.
+            // An unprovable call folds on the serial engine either way.
             for (SimdBackend backend : laneBackends()) {
-                std::vector<QuantSdtw::State> batch_states = states;
-                std::vector<BatchLane> lanes(kLanes);
-                for (std::size_t i = 0; i < kLanes; ++i) {
-                    lanes[i].state = &batch_states[i];
-                    lanes[i].query = queries[i];
+                for (const bool thin : {false, true}) {
+                    std::vector<QuantSdtw::State> batch_states = states;
+                    std::vector<BatchLane> lanes(kLanes);
+                    for (std::size_t i = 0; i < kLanes; ++i) {
+                        lanes[i].state = &batch_states[i];
+                        lanes[i].query = queries[i];
+                    }
+                    BatchSdtw kernel(config, 16, backend);
+                    kernel.setSerialCutover(thin ? SIZE_MAX : 0);
+                    kernel.processMany(lanes, ref);
+                    const FoldStats &fs = kernel.foldStats();
+                    const std::string label =
+                        std::string(simdBackendName(backend)) +
+                        (thin ? " thin" : " wide") + " over " +
+                        std::to_string(over);
+                    EXPECT_EQ(fs.serialCalls, thin || over ? 1u : 0u)
+                        << label;
+                    EXPECT_EQ(fs.batchedCalls, thin || over ? 0u : 1u)
+                        << label;
+                    EXPECT_EQ(fs.columnCalls,
+                              thin && over == 0 && hasColumns(backend)
+                                  ? 1u
+                                  : 0u)
+                        << label;
+                    EXPECT_EQ(batch_states[0].row[0], kCostMax) << label;
+                    expectMatchesSerial(config, lanes, ref, states,
+                                        label.c_str());
                 }
-                BatchSdtw kernel(config, 16, backend);
-                kernel.setSerialCutover(0);
-                kernel.processMany(lanes, ref);
-                const FoldStats &fs = kernel.foldStats();
-                EXPECT_EQ(fs.serialCalls, over == 0 ? 0u : 1u)
-                    << simdBackendName(backend);
-                EXPECT_EQ(fs.batchedCalls, over == 0 ? 1u : 0u)
-                    << simdBackendName(backend);
-                EXPECT_EQ(batch_states[0].row[0], kCostMax)
-                    << simdBackendName(backend) << " over " << over;
-                expectMatchesSerial(config, lanes, ref, states,
-                                    simdBackendName(backend));
             }
         }
     }
@@ -723,6 +744,108 @@ TEST(BatchSdtwTest, DifferentialAgainstPlainDpRandomConfigs)
                 ASSERT_EQ(states[i].rowsDone, queries[i].size()) << label;
                 ASSERT_EQ(states[i].row, want[i].row) << label;
                 ASSERT_EQ(states[i].dwell, want[i].dwell) << label;
+            }
+        }
+    }
+}
+
+TEST(BatchSdtwTest, ColumnsDifferentialAgainstPlainDp)
+{
+    // Thin calls, forced below the cutover, against the plain DP on
+    // every available backend (AVX-512 folds them on the columns
+    // kernel, the others on the serial engine).  Each draw takes one
+    // of the twelve no-reference-deletion configs (metric x Off /
+    // Shift / Mul bonus, two bonus units each) and b = 1 .. 15
+    // lanes of unequal query lengths, so strips of 8, 4, 2 and 1 rows
+    // all run.  References of 1 .. 41 columns cover the all-tail
+    // calls under one vector and every m mod 16; a few longer ones
+    // cross many unrolled blocks.  Each lane joins at a random call and folds its query
+    // in ragged chunks, so calls mix fresh states (column 0 seeded
+    // from the free-start row) with resumed ones.
+    const std::vector<double> bonuses{0.0, 0.0, 2.0, 4194304.0, 3.0,
+                                      8388608.0};
+    const std::vector<int> caps{1, 10, 255};
+    Rng rng(0xc01dULL);
+    for (int draw = 0; draw < 180; ++draw) {
+        SdtwConfig config;
+        config.allowReferenceDeletion = false;
+        config.metric = draw % 2 != 0 ? CostMetric::SquaredDifference
+                                      : CostMetric::AbsoluteDifference;
+        config.matchBonus = bonuses[std::size_t(draw / 2 % 6)];
+        config.dwellCap = caps[std::size_t(rng.uniformInt(0, 2))];
+        const auto m = draw < 160 ? std::size_t(draw % 41 + 1)
+                                  : std::size_t(rng.uniformInt(41, 400));
+        const auto ref = randomQuantSignal(m, rng);
+        const auto n_lanes = std::size_t(draw % 15 + 1);
+
+        std::vector<std::vector<NormSample>> queries(n_lanes);
+        std::vector<std::vector<std::size_t>> cuts(n_lanes);
+        std::vector<std::size_t> joins(n_lanes);
+        std::size_t calls = 0;
+        for (std::size_t i = 0; i < n_lanes; ++i) {
+            queries[i] = randomQuantSignal(
+                std::size_t(rng.uniformInt(1, 60)), rng);
+            for (std::size_t at = 0; at < queries[i].size();) {
+                at = std::min(queries[i].size(),
+                              at + std::size_t(rng.uniformInt(1, 25)));
+                cuts[i].push_back(at);
+            }
+            joins[i] = std::size_t(rng.uniformInt(0, 2));
+            calls = std::max(calls, joins[i] + cuts[i].size());
+        }
+        std::vector<PlainSdtw> want(n_lanes, PlainSdtw{config, {}, {}});
+        for (std::size_t i = 0; i < n_lanes; ++i)
+            for (const NormSample s : queries[i])
+                want[i].fold(s, ref);
+
+        for (SimdBackend backend : availableBackends()) {
+            BatchSdtw kernel(config, 16, backend);
+            kernel.setSerialCutover(SIZE_MAX);
+            std::vector<QuantSdtw::State> states(n_lanes);
+            std::vector<std::size_t> done(n_lanes, 0);
+            std::vector<QuantSdtw::Result> last(n_lanes);
+            for (std::size_t c = 0; c < calls; ++c) {
+                std::vector<BatchLane> lanes;
+                std::vector<std::size_t> ids;
+                for (std::size_t i = 0; i < n_lanes; ++i) {
+                    if (c < joins[i] || c - joins[i] >= cuts[i].size())
+                        continue;
+                    const std::size_t to = cuts[i][c - joins[i]];
+                    lanes.push_back(
+                        {&states[i],
+                         std::span<const NormSample>(queries[i])
+                             .subspan(done[i], to - done[i]),
+                         {}});
+                    ids.push_back(i);
+                    done[i] = to;
+                }
+                if (lanes.empty())
+                    continue;
+                kernel.processMany(lanes, ref);
+                for (std::size_t k = 0; k < lanes.size(); ++k)
+                    last[ids[k]] = lanes[k].result;
+            }
+            const FoldStats &fs = kernel.foldStats();
+            ASSERT_EQ(fs.batchedCalls, 0u);
+            ASSERT_EQ(fs.columnCalls,
+                      hasColumns(backend) ? fs.serialCalls : 0u);
+            for (std::size_t i = 0; i < n_lanes; ++i) {
+                const std::string label =
+                    std::string(simdBackendName(backend)) + " draw " +
+                    std::to_string(draw) + " lane " + std::to_string(i) +
+                    " of " + std::to_string(n_lanes) + " m " +
+                    std::to_string(m) + " " + config.describe() +
+                    " cap " + std::to_string(config.dwellCap);
+                ASSERT_EQ(states[i].rowsDone, queries[i].size()) << label;
+                ASSERT_EQ(states[i].row, want[i].row) << label;
+                ASSERT_EQ(states[i].dwell, want[i].dwell) << label;
+                const auto best = std::min_element(want[i].row.begin(),
+                                                   want[i].row.end());
+                ASSERT_EQ(last[i].cost, *best) << label;
+                ASSERT_EQ(last[i].refEnd,
+                          std::size_t(best - want[i].row.begin()))
+                    << label;
+                ASSERT_EQ(last[i].rows, queries[i].size()) << label;
             }
         }
     }

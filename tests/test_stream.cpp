@@ -511,39 +511,47 @@ TEST_F(SessionTest, MidStreamTeardownUnderLoadShutsDownCleanly)
 
 TEST_F(SessionTest, RaggedLaneRefillUnderContentionStaysDeterministic)
 {
-    // Many channels deciding at staggered stages feed ragged SIMD
-    // lane batches that retire early and refill from the pending
-    // queue, while four workers fight over a tiny request queue.
-    // The decision log must still be bit-identical to the
-    // uncontended single-worker run of the same configuration.
+    // Many channels deciding at staggered stages feed ragged fold
+    // calls while four workers fight over a small request queue.
+    // Captures are near-instant and decisions are held one chunk, so
+    // each chunk period every busy channel surfaces at once and the
+    // queue fills past the workers.  Dispatches of 16 can fill the
+    // lane kernel's cutover (one full 16-lane AVX-512 group) and
+    // retire and refill lanes mid-call; dispatches of 8 stay below it
+    // and fold on the columns kernel.  Either way the decision
+    // log must be bit-identical to the uncontended single-worker run
+    // of the same configuration.
     const auto &data = pipeline::makeStreamDataset(kDatasetReads, 0.5, 12);
-    SessionConfig cfg = config();
-    cfg.channels = 2 * kChannels;
-    cfg.workers = 4;
-    cfg.queueCapacity = 4;  // constant backpressure
-    cfg.dispatchBatch = 8;  // wide, frequently ragged lane batches
-    const auto contended =
-        ReadUntilSession(classifier(), cfg).run(data.reads);
+    for (const std::size_t width : {std::size_t(16), std::size_t(8)}) {
+        SessionConfig cfg = heldConfig();
+        cfg.channels = 2 * kChannels;
+        cfg.workers = 4;
+        cfg.queueCapacity = width; // constant backpressure
+        cfg.dispatchBatch = width;
+        const auto contended =
+            ReadUntilSession(classifier(), cfg).run(data.reads);
 
-    SessionConfig serial_cfg = cfg;
-    serial_cfg.workers = 1;
-    serial_cfg.queueCapacity = 256; // no backpressure
-    const auto uncontended =
-        ReadUntilSession(classifier(), serial_cfg).run(data.reads);
+        SessionConfig serial_cfg = cfg;
+        serial_cfg.workers = 1;
+        serial_cfg.queueCapacity = 256; // no backpressure
+        const auto uncontended =
+            ReadUntilSession(classifier(), serial_cfg).run(data.reads);
 
-    ASSERT_EQ(contended.log.size(), uncontended.log.size());
-    for (std::size_t i = 0; i < contended.log.size(); ++i) {
-        const auto &a = contended.log[i];
-        const auto &b = uncontended.log[i];
-        EXPECT_EQ(a.channel, b.channel);
-        EXPECT_EQ(a.readId, b.readId);
-        EXPECT_EQ(a.keep, b.keep);
-        EXPECT_EQ(a.cost, b.cost);
-        EXPECT_EQ(a.samplesUsed, b.samplesUsed);
-        EXPECT_EQ(a.stagesRun, b.stagesRun);
+        ASSERT_EQ(contended.log.size(), uncontended.log.size());
+        for (std::size_t i = 0; i < contended.log.size(); ++i) {
+            const auto &a = contended.log[i];
+            const auto &b = uncontended.log[i];
+            EXPECT_EQ(a.channel, b.channel) << "width " << width;
+            EXPECT_EQ(a.readId, b.readId) << "width " << width;
+            EXPECT_EQ(a.keep, b.keep) << "width " << width;
+            EXPECT_EQ(a.cost, b.cost) << "width " << width;
+            EXPECT_EQ(a.samplesUsed, b.samplesUsed) << "width " << width;
+            EXPECT_EQ(a.stagesRun, b.stagesRun) << "width " << width;
+        }
+        EXPECT_EQ(contended.stats.dpRowsFolded,
+                  uncontended.stats.dpRowsFolded)
+            << "width " << width;
     }
-    EXPECT_EQ(contended.stats.dpRowsFolded,
-              uncontended.stats.dpRowsFolded);
 }
 
 TEST_F(SessionTest, InvalidConfigIsFatal)
