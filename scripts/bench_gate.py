@@ -2,8 +2,12 @@
 """Performance gate: run the benches each BENCH_*.json declares, check them.
 
     python3 scripts/bench_gate.py              # measure and gate
-    python3 scripts/bench_gate.py --record     # measure, rewrite every baseline
+    python3 scripts/bench_gate.py --record     # measure, rewrite baselines
     python3 scripts/bench_gate.py --self-test  # canned data only, no bench run
+
+Naming BENCH files (python3 scripts/bench_gate.py --record BENCH_fleet.json)
+limits the run, and what --record rewrites, to them; with none named every
+file runs.
 
 Each BENCH_*.json at the root of the repo holds a "gate" list of runs.  A
 run names a bench binary under build/, its arguments and environment, a
@@ -314,14 +318,25 @@ def dump(value, indent=""):
                               for k, v in value.items()) + f"\n{indent}}}"
 
 
-def gate(record):
+def selected(names):
+    """The BENCH files a run covers: the named ones, in FILES order (a
+    path names its file), or all of them when none is named."""
+    wanted = {Path(n).name for n in names}
+    unknown = sorted(wanted - set(FILES))
+    if unknown:
+        raise ValueError(f"unknown BENCH file {', '.join(unknown)}; "
+                         f"choose from {', '.join(FILES)}")
+    return tuple(f for f in FILES if f in wanted) if wanted else FILES
+
+
+def gate(files, record):
     shutil.rmtree(REPORT, ignore_errors=True)
     REPORT.mkdir(parents=True)
     subprocess.run(["cmake", "-B", str(BUILD), "-S", str(ROOT)], check=True,
                    stdout=subprocess.DEVNULL)
     host, results = fingerprint(), []
     print(f"host: {json.dumps(host)}")
-    for file in FILES:
+    for file in files:
         doc = json.loads((ROOT / file).read_text())
         measured = {}
         for run in doc["gate"]:
@@ -444,20 +459,34 @@ def self_test():
     expect("steal, no time passed",
            steal_frac(cpu_times(after), cpu_times(after)), None)
     expect("steal detail", steal_detail([0.15, None]), "15.00%, unreadable")
+    expect("no file named", selected([]), FILES)
+    expect("files named", selected(["./BENCH_fleet.json", "BENCH_sdtw.json"]),
+           ("BENCH_sdtw.json", "BENCH_fleet.json"))
+    try:
+        selected(["BENCH_nope.json"])
+        failures.append("unknown file: accepted")
+    except ValueError:
+        pass
     print("\n".join(failures) or f"bench gate self-test: {n} check kinds ok")
     return 1 if failures else 0
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("files", nargs="*", metavar="BENCH_FILE",
+                        help=f"run only these (default: {' '.join(FILES)})")
     parser.add_argument("--record", action="store_true",
-                        help="rewrite every baseline from this run")
+                        help="rewrite the baselines of the files run")
     parser.add_argument("--self-test", action="store_true",
                         help="check the evaluator on canned data")
     args = parser.parse_args()
     if args.self_test:
         return self_test()
-    return 1 if gate(args.record)["FAIL"] else 0
+    try:
+        files = selected(args.files)
+    except ValueError as e:
+        parser.error(str(e))
+    return 1 if gate(files, args.record)["FAIL"] else 0
 
 
 if __name__ == "__main__":

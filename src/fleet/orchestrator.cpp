@@ -111,6 +111,8 @@ FleetSnapshot::toJson() const
     appendNumber(j, meanBatchSize);
     j += ",\"helped_dispatches\":";
     appendNumber(j, helpedDispatches);
+    j += ",\"helped_requests\":";
+    appendNumber(j, helpedRequests);
     j += ",\"lane_jobs\":";
     appendNumber(j, laneJobs);
     j += ",\"lane_slots\":";
@@ -304,6 +306,7 @@ FleetOrchestrator::snapshot() const
             ? double(snap.dispatchedRequests) / double(snap.dispatches)
             : 0.0;
     snap.helpedDispatches = rel(pool.helpedDispatches);
+    snap.helpedRequests = rel(pool.helpedRequests);
     snap.laneJobs = rel(pool.laneJobs);
     snap.laneSlots = rel(pool.laneSlots);
     snap.laneOccupancy =

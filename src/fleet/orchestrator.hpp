@@ -123,8 +123,10 @@ struct FleetSnapshot
     std::uint64_t dispatches = 0;      //!< batch pulls, helped included
     std::uint64_t dispatchedRequests = 0;
     double meanBatchSize = 0.0;
-    /** Dispatches folded on a session driver rather than a worker. */
+    /** Dispatches folded on a session driver rather than a worker,
+        and the requests across them. */
     std::uint64_t helpedDispatches = 0;
+    std::uint64_t helpedRequests = 0;
     /** SIMD lane telemetry: laneJobs/laneSlots = occupancy in [0,1];
         serial-engine folds count 1/width per lane slot burned. */
     std::uint64_t laneJobs = 0;

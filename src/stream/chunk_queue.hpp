@@ -32,8 +32,7 @@
  * A thread that would otherwise block on the queue's work — a
  * session's event loop facing a full queue or awaiting a decision —
  * may fold queued work itself: tryPush() and tryPopBatch() never
- * block, and tryPopBatch() takes work only when the workers would not
- * miss it (see there).
+ * block, and tryPopBatch() takes nothing while a worker is idle.
  *
  * BoundedQueue is the single-class, single-session front over the
  * same queue: a plain blocking FIFO.
@@ -249,14 +248,10 @@ class QosBoundedQueue
 
     /**
      * Non-blocking pop for a thread that would otherwise block on
-     * this queue's work: take exactly @p batch items of the class
+     * this queue's work: take up to @p batch items of the class
      * popBatch() would serve (same choice, same starvation streak),
-     * or nothing.  It takes them only while no consumer waits in
-     * popBatch() — an idle worker folds them instead — and while the
-     * class holds at least two full batches, so the workers still
-     * find a full batch after this one.  A helper thus never folds
-     * work a worker would have folded, and never leaves the workers
-     * the thin remainder of a batch.  Returns whether it took a batch.
+     * but nothing while a consumer waits in popBatch() — an idle
+     * worker folds them instead.  Returns whether it took any.
      */
     bool
     tryPopBatch(std::vector<T> &out, std::size_t batch,
@@ -265,7 +260,7 @@ class QosBoundedQueue
         if (batch == 0)
             fatal("QosBoundedQueue batch size must be positive");
         std::unique_lock lock(mutex_);
-        if (idleConsumers_ > 0 || dispatchDepthLocked() < 2 * batch)
+        if (idleConsumers_ > 0 || total_ == 0)
             return false;
         takeLocked(out, batch, served);
         lock.unlock();

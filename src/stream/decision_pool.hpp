@@ -18,9 +18,9 @@
  *    cannot support fatals before any worker thread exists;
  *  - the popBatch -> fold loop, one fold per dispatch, and help():
  *    a session's event loop that would block on a full queue or an
- *    unfinished decision folds a full queued dispatch on its own
- *    engine instead (QosBoundedQueue::tryPopBatch says when) — the
- *    same dispatch body a worker runs;
+ *    unfinished decision folds up to one queued dispatch on its own
+ *    engine instead, unless a worker is idle to fold it — the same
+ *    dispatch body a worker runs;
  *  - the dispatch, class, backend and SIMD-lane counters, readable
  *    mid-run.
  */
@@ -126,7 +126,7 @@ class DecisionPool final : public DecisionService
         help(request.sessionId); block only when that folds nothing. */
     bool submit(DecisionRequest request) override;
 
-    /** Fold one full queued dispatch on session @p session_id's
+    /** Fold up to one queued dispatch on session @p session_id's
         engine, if QosBoundedQueue::tryPopBatch() yields one. */
     bool help(std::uint32_t session_id) override;
 

@@ -15,7 +15,8 @@
  * never dropped — and awaits completion on its session-owned
  * CompletionBoard, while the worker side folds each dispatch's
  * requests as SIMD lane batches with SoftwareBackend::fold().  An
- * event loop about to block may help() fold queued work instead.
+ * event loop about to block may help() fold up to one queued dispatch
+ * instead, but never work that an idle worker would fold.
  */
 
 #include <array>

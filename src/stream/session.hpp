@@ -25,7 +25,8 @@
  * MPMC queue (backpressure: the event source blocks when
  * classification falls behind) whose workers drain it in
  * cross-channel batches per dispatch.  An event loop that would
- * block folds a full queued dispatch itself instead.
+ * block folds up to one queued dispatch itself instead, unless a
+ * worker is idle to fold it.
  */
 
 #include <cstdint>

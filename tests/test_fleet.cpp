@@ -180,46 +180,61 @@ TEST(QosQueueTest, AdmissionQuotaBlocksUntilDispatchFreesIt)
     EXPECT_EQ(queue.depth(s), 0u);
 }
 
-TEST(QosQueueTest, TryPopTakesAFullBatchOnlyWhenOneStaysForTheWorkers)
+TEST(QosQueueTest, TryPopTakesUpToABatchUnlessAWorkerIsIdle)
 {
-    constexpr std::size_t kBatch = 2;
+    constexpr std::size_t kBatch = 4;
     QosBoundedQueue<Item> queue(16, /*statBurst=*/1);
     const auto stat = queue.registerSession(QosClass::Stat, 0);
     const auto research = queue.registerSession(QosClass::Research, 0);
     std::vector<Item> batch;
+    std::vector<Item> worker_batch;
     QosClass served = QosClass::Research;
 
-    // Three Stat items: taking a batch would leave the workers a
-    // thin one, so a helper takes nothing.
+    // An empty queue has nothing to help with.
+    EXPECT_FALSE(queue.tryPopBatch(batch, kBatch, &served));
+    EXPECT_TRUE(batch.empty());
+
+    // Three Stat items, fewer than a batch, and no idle worker: a
+    // helper takes all three, from the head of the class.
     for (int i = 0; i < 3; ++i)
         ASSERT_TRUE(queue.push(stat, Item{stat, i}));
     for (int i = 0; i < 8; ++i)
         ASSERT_TRUE(queue.push(research, Item{research, 100 + i}));
-    EXPECT_FALSE(queue.tryPopBatch(batch, kBatch, &served));
-    EXPECT_TRUE(batch.empty());
-
-    // A fourth: exactly one full batch, from the head of the class.
-    ASSERT_TRUE(queue.push(stat, Item{stat, 3}));
     ASSERT_TRUE(queue.tryPopBatch(batch, kBatch, &served));
     EXPECT_EQ(served, QosClass::Stat);
-    ASSERT_EQ(batch.size(), kBatch);
+    ASSERT_EQ(batch.size(), 3u);
     EXPECT_EQ(batch[0].value, 0);
     EXPECT_EQ(batch[1].value, 1);
+    EXPECT_EQ(batch[2].value, 2);
 
     // The helper's dispatch counts toward the starvation streak like
-    // a worker's: with statBurst 1 the next dispatch is Research.
+    // a worker's: with statBurst 1 the next dispatch is Research,
+    // though Stat has work queued again.
+    ASSERT_TRUE(queue.push(stat, Item{stat, 3}));
+    ASSERT_TRUE(queue.popBatch(worker_batch, kBatch, &served));
+    EXPECT_EQ(served, QosClass::Research);
+    ASSERT_EQ(worker_batch.size(), kBatch);
+    EXPECT_EQ(worker_batch[0].value, 100);
+
+    // And the other way round: after a worker's Stat dispatch the
+    // helper serves Research, a full batch from the head.
+    worker_batch.clear();
+    ASSERT_TRUE(queue.popBatch(worker_batch, kBatch, &served));
+    EXPECT_EQ(served, QosClass::Stat);
     batch.clear();
     ASSERT_TRUE(queue.tryPopBatch(batch, kBatch, &served));
     EXPECT_EQ(served, QosClass::Research);
-    EXPECT_EQ(batch[0].value, 100);
+    ASSERT_EQ(batch.size(), kBatch);
+    EXPECT_EQ(batch[0].value, 104);
+    EXPECT_EQ(queue.size(), 0u);
 
     // A worker waiting in popBatch (here: lingering for a batch of
     // 64) is idle: the queued work is its to fold, not a helper's,
-    // though the Stat class holds two batches again.
+    // though a helper would take it were the worker busy.
     ASSERT_TRUE(queue.push(stat, Item{stat, 4}));
     ASSERT_TRUE(queue.push(stat, Item{stat, 5}));
     batch.clear();
-    std::vector<Item> worker_batch;
+    worker_batch.clear();
     std::thread worker([&] {
         EXPECT_TRUE(queue.popBatch(worker_batch, 64, nullptr,
                                    std::chrono::seconds(30)));
@@ -229,7 +244,7 @@ TEST(QosQueueTest, TryPopTakesAFullBatchOnlyWhenOneStaysForTheWorkers)
     queue.close(); // ends the linger
     worker.join();
     EXPECT_TRUE(batch.empty());
-    EXPECT_FALSE(worker_batch.empty());
+    EXPECT_EQ(worker_batch.size(), 2u);
 }
 
 TEST(QosQueueTest, RefusedPushCountsOneStallHoweverOftenItRetries)
@@ -645,7 +660,7 @@ class JsonParser
 const std::vector<std::string> kTopLevelKeys = {
     "wall_seconds",   "chunks_emitted", "chunks_per_sec",
     "dispatches",     "dispatched_requests", "mean_batch",
-    "helped_dispatches",
+    "helped_dispatches", "helped_requests",
     "lane_jobs",      "lane_slots",     "lane_occupancy",
     "dispatches_by_class", "requests_by_backend", "fault_ledger",
     "sessions"};
@@ -683,6 +698,7 @@ TEST(SnapshotSchemaTest, ToJsonRoundTripsEveryDocumentedField)
     snap.dispatchedRequests = 2222;
     snap.meanBatchSize = 2.8125; // exact in the %.6g telemetry format
     snap.helpedDispatches = 133;
+    snap.helpedRequests = 1999;
     snap.laneJobs = 901;
     snap.laneSlots = 1024;
     snap.laneOccupancy = 0.875;
@@ -749,6 +765,7 @@ TEST(SnapshotSchemaTest, ToJsonRoundTripsEveryDocumentedField)
     EXPECT_DOUBLE_EQ(root.at("dispatched_requests").number, 2222.0);
     EXPECT_DOUBLE_EQ(root.at("mean_batch").number, 2.8125);
     EXPECT_DOUBLE_EQ(root.at("helped_dispatches").number, 133.0);
+    EXPECT_DOUBLE_EQ(root.at("helped_requests").number, 1999.0);
     EXPECT_DOUBLE_EQ(root.at("lane_jobs").number, 901.0);
     EXPECT_DOUBLE_EQ(root.at("lane_slots").number, 1024.0);
     EXPECT_DOUBLE_EQ(root.at("lane_occupancy").number, 0.875);
@@ -963,10 +980,11 @@ TEST_F(FleetTest, PerSessionLogsMatchStandaloneAcrossFleetAndWorkers)
     }
 }
 
-TEST_F(FleetTest, DriversHelpOnlyWithFullBatchesAcrossWorkers)
+TEST_F(FleetTest, DriversHelpWithWhateverIsQueuedAcrossWorkers)
 {
-    // A session driver that would block folds a full queued dispatch
-    // of any session on its own engine.  With one worker and a deep
+    // A session driver that would block folds up to one queued
+    // dispatch of any session on its own engine, thin or full, unless
+    // a worker is idle to fold it.  With one worker and a deep
     // queue the drivers must help, and every session's log must still
     // equal its standalone run, as it must with three workers.
     // Near-instant captures line every channel's chunks up on the
@@ -1014,6 +1032,14 @@ TEST_F(FleetTest, DriversHelpOnlyWithFullBatchesAcrossWorkers)
         EXPECT_EQ(helped, result.snapshot.helpedDispatches) << context;
         EXPECT_LE(result.snapshot.helpedDispatches,
                   result.snapshot.dispatches)
+            << context;
+        // Every helped dispatch carries between one request and a
+        // full dispatchBatch.
+        EXPECT_GE(result.snapshot.helpedRequests,
+                  result.snapshot.helpedDispatches)
+            << context;
+        EXPECT_LE(result.snapshot.helpedRequests,
+                  result.snapshot.helpedDispatches * cfg.dispatchBatch)
             << context;
         if (workers == 1) {
             EXPECT_GT(result.snapshot.helpedDispatches, 0u) << context;

@@ -813,7 +813,7 @@ TEST_F(BackendParityTest, AsicSessionLogMatchesSoftwareAcrossWorkers)
 
 TEST_F(BackendParityTest, HelpedAsicSessionLedgerMatchesFourWorkers)
 {
-    // One worker and a deep queue: the event loop folds full queued
+    // One worker and a deep queue: the event loop folds queued
     // dispatches on its own engine while it waits.  The pool's ledger
     // must sum that engine too, so the session reports the same
     // hwModel as a 4-worker run.  Near-instant captures line every

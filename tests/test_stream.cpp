@@ -299,11 +299,11 @@ TEST_F(SessionTest, DecisionSlowerThanAChunkConservesChunks)
     EXPECT_EQ(result.log.size(), data.reads.size());
 }
 
-TEST_F(SessionTest, EventLoopHelpsOnlyWithFullBatches)
+TEST_F(SessionTest, EventLoopHelpsWithWhateverIsQueued)
 {
     // One worker and a deep queue: while the event loop awaits a
     // decision or faces a full queue it folds queued dispatches
-    // itself, each a full dispatch batch, and the log stays
+    // itself, each up to a dispatch batch, and the log stays
     // bit-identical to a 3-worker run.  Near-instant captures line
     // every channel's chunks up on the same virtual instants, and a
     // virtual decision latency of one chunk keeps each request in
@@ -335,7 +335,9 @@ TEST_F(SessionTest, EventLoopHelpsOnlyWithFullBatches)
 
     const PoolCounters &counters = pool.counters();
     EXPECT_GT(counters.helpedDispatches.load(), 0u);
-    EXPECT_EQ(counters.helpedRequests.load(),
+    EXPECT_GE(counters.helpedRequests.load(),
+              counters.helpedDispatches.load());
+    EXPECT_LE(counters.helpedRequests.load(),
               counters.helpedDispatches.load() * cfg.dispatchBatch);
     EXPECT_EQ(pool.helpedDispatches(id), counters.helpedDispatches.load());
 
