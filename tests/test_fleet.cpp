@@ -1085,15 +1085,18 @@ TEST_F(FleetTest, LaneBatchedFleetMatchesOfflineClassifyBitExactly)
 
 TEST_F(FleetTest, StatPreemptsResearchUnderSharedPoolContention)
 {
-    // One worker serving a Stat and a Research flowcell with the
-    // same workload: every dispatch prefers Stat, so Stat decisions
-    // must clear the queue faster.  Medians (not tails) keep this
-    // robust on a noisy host; the queue-level interleaving is pinned
-    // deterministically in QosQueueTest.  A virtual decision latency
-    // of one chunk period keeps every channel's request in flight
-    // while the next chunk surfaces, so both sessions hold several
-    // queued requests at once and the dispatch preference actually
-    // decides who waits.
+    // One worker and the two session drivers, which fold queued
+    // requests whenever they wait, serve a Stat and a Research
+    // flowcell with the same workload: every dispatch, helped or not,
+    // prefers Stat, so Stat decisions must clear the queue faster.
+    // Medians (not tails) keep this robust on a noisy host; the
+    // queue-level interleaving is pinned deterministically in
+    // QosQueueTest.  A virtual decision latency of one chunk period
+    // keeps every channel's request in flight while the next chunk
+    // surfaces, and four times the fixture's channels per flowcell
+    // queue more requests than the three folding threads clear, so
+    // both sessions hold several queued requests at once and the
+    // dispatch preference actually decides who waits.
     FleetConfig cfg;
     cfg.workers = 1;
     cfg.queueCapacity = 8; // sustained queuing
@@ -1112,6 +1115,7 @@ TEST_F(FleetTest, StatPreemptsResearchUnderSharedPoolContention)
         spec.name = "cell-" + std::to_string(i);
         spec.classifier = &classifier();
         spec.config = sessionConfig(i);
+        spec.config.channels = 4 * kChannels;
         spec.config.decisionLatencySec = spec.config.chunkSeconds;
         spec.qos = i == 0 ? QosClass::Stat : QosClass::Research;
         spec.reads =
