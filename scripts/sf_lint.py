@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-specific lint for invariants no generic tool knows.
 
-Ten rules, each encoding a correctness contract of this codebase:
+Eleven rules, each encoding a correctness contract of this codebase:
 
   simd-backend-integrity   Every SIMD backend TU (src/sdtw/
                            batch_{avx2,avx512}.cpp) keeps its
@@ -52,6 +52,16 @@ Ten rules, each encoding a correctness contract of this codebase:
                            for CompletionBoard::await() and an
                            await-return timestamp then each have one
                            call site to change, not one per handler.
+
+  stage-walk-site          In src/sdtw/filter.cpp, the stage-boundary
+                           read stages_[...].prefixSamples and
+                           pending.insert( occur only inside
+                           SquiggleFilterClassifier::nextSlice, the
+                           one stage walk the serial and lane-batched
+                           feeds share.  A feed that sliced its own
+                           stages would be a second copy of the §4.6
+                           rule that only the bit-exactness tests
+                           could catch drifting.
 
   hw-layering              No file under src/stream/ or src/fleet/
                            includes an hw/ header, except
@@ -427,6 +437,48 @@ def rule_loop_wait_site(root: Path, findings: List[Finding]):
 
 
 # ------------------------------------------------------------------ #
+# Rule: stage-walk-site                                               #
+# ------------------------------------------------------------------ #
+
+WALK_FILE = "src/sdtw/filter.cpp"
+WALK_METHOD = "nextSlice"
+WALK_SITES = {
+    "stages_[...].prefixSamples":
+        re.compile(r"\bstages_\s*\[[^\]]*\]\s*\.\s*prefixSamples\b"),
+    "pending.insert(": re.compile(r"\bpending\s*\.\s*insert\s*\("),
+}
+WALK_DEF = re.compile(r"::\s*" + WALK_METHOD +
+                      r"\s*\([^)]*\)\s*(?:const\s*)?\{")
+
+
+def rule_stage_walk_site(root: Path, findings: List[Finding]):
+    rule = "stage-walk-site"
+    path = root / WALK_FILE
+    if not path.exists():
+        findings.append(
+            Finding(rule, WALK_FILE, "classifier file is missing; point "
+                    "WALK_FILE at where the stage walk moved"))
+        return
+    text = strip_comments(path.read_text())
+    defs = list(WALK_DEF.finditer(text))
+    if len(defs) != 1:
+        findings.append(
+            Finding(rule, WALK_FILE,
+                    f"expected one definition of {WALK_METHOD}(), "
+                    f"found {len(defs)}"))
+        return
+    open_brace = defs[0].end() - 1
+    body = range(open_brace, _matching_close(text, open_brace) + 1)
+    for name, pattern in WALK_SITES.items():
+        for m in pattern.finditer(text):
+            if m.start() not in body:
+                findings.append(
+                    Finding(rule, f"{WALK_FILE}:{line_of(text, m.start())}",
+                            f"{name} outside {WALK_METHOD}(); every feed "
+                            "takes its stage slices from the one walk"))
+
+
+# ------------------------------------------------------------------ #
 # Rule: hw-layering                                                   #
 # ------------------------------------------------------------------ #
 
@@ -672,6 +724,7 @@ RULES = [
     rule_concurrency_containment,
     rule_pool_wait_discipline,
     rule_loop_wait_site,
+    rule_stage_walk_site,
     rule_hw_layering,
     rule_hw_oracle_containment,
     rule_quantized_hot_path_purity,

@@ -45,7 +45,9 @@ readFasta(std::istream &is)
     };
 
     std::string line;
+    std::size_t lineno = 0;
     while (std::getline(is, line)) {
+        ++lineno;
         if (!line.empty() && line.back() == '\r')
             line.pop_back();
         if (line.empty())
@@ -57,7 +59,13 @@ readFasta(std::istream &is)
             const auto space = name.find_first_of(" \t");
             if (space != std::string::npos)
                 name.resize(space);
+            if (name.empty())
+                fatal("FASTA line %zu: header has no sequence name",
+                      lineno);
         } else {
+            if (name.empty())
+                fatal("FASTA line %zu: sequence before the first '>' "
+                      "header", lineno);
             for (char c : line) {
                 Base b;
                 if (charToBase(c, b))

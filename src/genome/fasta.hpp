@@ -25,7 +25,9 @@ void writeFastaFile(const std::string &path, const Genome &genome);
 /**
  * Parse all records from a FASTA stream.
  * Unknown characters (N, ambiguity codes) are skipped with a warning
- * since the 2-bit representation cannot hold them.
+ * since the 2-bit representation cannot hold them.  Sequence before
+ * the first header, or a header with no name, raises FatalError
+ * naming the line.
  */
 std::vector<Genome> readFasta(std::istream &is);
 

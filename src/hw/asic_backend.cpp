@@ -29,7 +29,7 @@ AsicBackend::fold(std::vector<stream::DecisionRequest> &batch)
     base_ = batch.data();
     preRows_.resize(batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i)
-        preRows_[i] = batch[i].stream->rowsFolded;
+        preRows_[i] = batch[i].stream->consumed;
     software_.fold(batch);
 }
 
@@ -40,14 +40,14 @@ AsicBackend::chargeModel(const stream::DecisionRequest &req, double wall_us)
         return wall_us;
     // The hook runs after req's fold but before its board slot
     // completes, so the worker still owns the stream exclusively.
-    const std::uint64_t pre = preRows_[std::size_t(&req - base_)];
+    const std::size_t pre = preRows_[std::size_t(&req - base_)];
     const sdtw::ClassifierStream &stream = *req.stream;
     // The read's last fold: its final stage was evaluated or it ended.
     const bool last_fold =
         req.endOfRead ||
         stream.stageIdx == req.classifier->stages().size();
     const AsicDecisionModel model = modelDecision(
-        spec_.arrayDim, stream.rowsFolded - pre,
+        spec_.arrayDim, stream.consumed - pre,
         req.classifier->reference().size(), pre > 0, last_fold);
     const double us = double(model.cycles) / (spec_.clockGhz * 1e3);
     if (req.sessionId >= stats_.size())

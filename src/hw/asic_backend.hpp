@@ -70,10 +70,10 @@ class AsicBackend final : public stream::DecisionBackend
     double powerW_ = 0.0;
     /** Ledger per DecisionRequest::sessionId, grown on demand. */
     std::vector<stream::ModeledHwStats> stats_;
-    /** The batch in flight and its pre-fold rowsFolded per request,
+    /** The batch in flight and its pre-fold `consumed` per request,
         to recover each decision's incremental DP work in the hook. */
     const stream::DecisionRequest *base_ = nullptr;
-    std::vector<std::uint64_t> preRows_;
+    std::vector<std::size_t> preRows_;
     stream::SoftwareBackend software_; //!< last: its hook uses the above
 };
 

@@ -38,13 +38,13 @@ Tile::processRead(std::span<const RawSample> raw,
         const std::size_t want =
             std::min(stages[s].prefixSamples, raw.size());
         const bool truncated = want < stages[s].prefixSamples;
-        const std::uint64_t pre = stream.rowsFolded;
+        const std::size_t pre = stream.consumed;
         const std::size_t seen = stream.samplesSeen();
         classifier.feedChunk(stream, raw.subspan(seen, want - seen));
         if (truncated)
             classifier.finishStream(stream);
         const AsicDecisionModel model = modelDecision(
-            config_.numPes, stream.rowsFolded - pre, reference_.size(),
+            config_.numPes, stream.consumed - pre, reference_.size(),
             pre > 0, truncated || s + 1 == stages.size());
         result.cycles += model.cycles;
         result.dramBytesRead += model.dramBytesRead;

@@ -25,6 +25,9 @@ SquiggleFilterClassifier::setStages(std::vector<FilterStage> stages)
 {
     if (stages.empty())
         fatal("filter needs at least one stage");
+    // Positive prefixes mean every stage slice holds a sample.
+    if (stages.front().prefixSamples == 0)
+        fatal("filter stage prefixes must be positive");
     for (std::size_t s = 1; s < stages.size(); ++s) {
         if (stages[s].prefixSamples <= stages[s - 1].prefixSamples)
             fatal("filter stage prefixes must be strictly increasing");
@@ -57,26 +60,10 @@ SquiggleFilterClassifier::beginStream() const
     return ClassifierStream{};
 }
 
-void
-SquiggleFilterClassifier::foldSlice(
-    ClassifierStream &stream, std::span<const RawSample> slice) const
-{
-    if (slice.empty())
-        return;
-    const auto normalized = stream.normalizer.normalizeChunk(slice);
-    const auto aligned = engine_.process(
-        std::span<const NormSample>(normalized.samples),
-        std::span<const NormSample>(reference_.samples()), stream.dp);
-    stream.result.cost = aligned.cost;
-    stream.result.refEnd = aligned.refEnd;
-    stream.consumed += slice.size();
-    stream.rowsFolded += slice.size();
-}
-
 /**
  * Evaluate the stage the stream currently sits in.  @p truncated
  * mirrors classify()'s short-read handling: the threshold is scaled
- * proportionally and the stage becomes final.
+ * proportionally and the stage becomes final, so it always decides.
  */
 void
 SquiggleFilterClassifier::evaluateStage(ClassifierStream &stream,
@@ -110,69 +97,101 @@ SquiggleFilterClassifier::evaluateStage(ClassifierStream &stream,
     ++stream.stageIdx;
 }
 
+std::optional<SquiggleFilterClassifier::StageSlice>
+SquiggleFilterClassifier::nextSlice(const StreamFeed &feed,
+                                    std::size_t &used) const
+{
+    if (feed.stream == nullptr)
+        fatal("stage walk needs a stream");
+    ClassifierStream &stream = *feed.stream;
+    if (stream.decided)
+        return std::nullopt;
+    // An undecided stream always sits before its last stage (the last
+    // evaluation decides), so stages_[stageIdx] exists.
+    const std::span<const RawSample> chunk = feed.chunk;
+    const std::size_t prefix = stages_[stream.stageIdx].prefixSamples;
+    if (stream.samplesSeen() + (chunk.size() - used) >= prefix) {
+        // Completed stages are normalised straight out of the caller's
+        // buffer, or out of `pending` topped up to the boundary
+        // (pending always holds less than a full stage, else an
+        // earlier slice would have taken it); only the sub-boundary
+        // tail is ever copied, so the offline classify() path never
+        // buffers more than the final partial stage.
+        const std::size_t need = prefix - stream.consumed;
+        if (stream.pending.empty()) {
+            used += need;
+            return StageSlice{.raw = chunk.subspan(used - need, need)};
+        }
+        const std::size_t from_chunk = need - stream.pending.size();
+        stream.pending.insert(
+            stream.pending.end(), chunk.begin() + std::ptrdiff_t(used),
+            chunk.begin() + std::ptrdiff_t(used + from_chunk));
+        used += from_chunk;
+        return StageSlice{.raw = stream.pending, .fromPending = true};
+    }
+    // No boundary reachable: bank the rest of the chunk.
+    stream.pending.insert(stream.pending.end(),
+                          chunk.begin() + std::ptrdiff_t(used), chunk.end());
+    used = chunk.size();
+    if (!feed.endOfRead)
+        return std::nullopt;
+    // The read ended inside stages_[stageIdx]: its tail is decided on
+    // the scaled threshold, exactly like classify() on a short read.
+    if (stream.samplesSeen() == 0) {
+        // Nothing measured yet: keep sequencing, no evidence either way.
+        stream.result.keep = true;
+        stream.decided = true;
+        return std::nullopt;
+    }
+    if (stream.pending.empty()) {
+        // The read ended exactly on a boundary: no fold is owed.
+        evaluateStage(stream, /*truncated=*/true);
+        return std::nullopt;
+    }
+    return StageSlice{
+        .raw = stream.pending, .fromPending = true, .truncated = true};
+}
+
+void
+SquiggleFilterClassifier::applySlice(ClassifierStream &stream,
+                                     const StageSlice &slice,
+                                     const QuantSdtw::Result &folded) const
+{
+    stream.result.cost = folded.cost;
+    stream.result.refEnd = folded.refEnd;
+    stream.consumed += slice.raw.size();
+    if (slice.fromPending)
+        stream.pending.clear();
+    evaluateStage(stream, slice.truncated);
+}
+
+void
+SquiggleFilterClassifier::walkSerial(const StreamFeed &feed) const
+{
+    std::size_t used = 0;
+    while (const auto slice = nextSlice(feed, used)) {
+        const auto normalized =
+            feed.stream->normalizer.normalizeChunk(slice->raw);
+        applySlice(*feed.stream, *slice,
+                   engine_.process(
+                       std::span<const NormSample>(normalized.samples),
+                       std::span<const NormSample>(reference_.samples()),
+                       feed.stream->dp));
+    }
+}
+
 const Classification &
 SquiggleFilterClassifier::feedChunk(ClassifierStream &stream,
                                     std::span<const RawSample> chunk) const
 {
-    if (stream.decided)
-        return stream.result;
-    // Fold every stage boundary the new chunk crosses.  Completed
-    // stages are normalised straight out of the caller's buffer (or
-    // out of `pending` topped up to the boundary); only the
-    // sub-boundary tail is copied into `pending`, so the offline
-    // classify() path never buffers more than the final partial
-    // stage.
-    std::size_t used = 0;
-    while (!stream.decided && stream.stageIdx < stages_.size()) {
-        const std::size_t prefix =
-            stages_[stream.stageIdx].prefixSamples;
-        const std::size_t have =
-            stream.samplesSeen() + (chunk.size() - used);
-        if (have < prefix)
-            break;
-        const std::size_t need = prefix - stream.consumed;
-        if (stream.pending.empty()) {
-            foldSlice(stream, chunk.subspan(used, need));
-            used += need;
-        } else {
-            // pending always holds less than a full stage (else the
-            // previous feed would have folded it).
-            const std::size_t from_chunk = need - stream.pending.size();
-            stream.pending.insert(
-                stream.pending.end(), chunk.begin() + std::ptrdiff_t(used),
-                chunk.begin() + std::ptrdiff_t(used + from_chunk));
-            used += from_chunk;
-            foldSlice(stream,
-                      std::span<const RawSample>(stream.pending));
-            stream.pending.clear();
-        }
-        evaluateStage(stream, /*truncated=*/false);
-    }
-    if (!stream.decided)
-        stream.pending.insert(stream.pending.end(),
-                              chunk.begin() + std::ptrdiff_t(used),
-                              chunk.end());
+    walkSerial(StreamFeed{&stream, chunk, false});
     return stream.result;
 }
 
 const Classification &
 SquiggleFilterClassifier::finishStream(ClassifierStream &stream) const
 {
-    if (stream.decided)
-        return stream.result;
-    if (stream.samplesSeen() == 0) {
-        // Nothing measured yet: keep sequencing, no evidence either way.
-        stream.result.keep = true;
-        stream.decided = true;
-        return stream.result;
-    }
-    // The read ended inside stages_[stageIdx] (feedChunk folded every
-    // completed stage): fold the tail and decide on the scaled
-    // threshold, exactly like classify() on a short read.
-    foldSlice(stream, std::span<const RawSample>(stream.pending));
-    stream.pending.clear();
-    evaluateStage(stream, /*truncated=*/true);
-    stream.decided = true; // truncated stages always decide
+    walkSerial(StreamFeed{&stream, {}, true});
     return stream.result;
 }
 
@@ -189,126 +208,36 @@ SquiggleFilterClassifier::feedChunkBatch(std::span<StreamFeed> feeds,
     }
 
     /** Per-feed progress through this call. */
-    struct FeedCursor
+    struct Cursor
     {
-        std::size_t used = 0;  //!< chunk samples consumed so far
-        bool tailDone = false; //!< no further stage boundary reachable
-        bool finished = false; //!< nothing left to do this call
-        std::vector<NormSample> norm; //!< this round's slice
+        std::size_t used = 0;  //!< chunk samples walked so far
+        bool done = false;     //!< the walk owes no further slice
+        StageSlice slice;      //!< this round's slice
+        std::vector<NormSample> norm; //!< its normalised samples
     };
-    /** Stage evaluation owed to a feed once its round's fold lands. */
-    struct PendingEval
-    {
-        std::size_t feed = 0;
-        std::size_t lane = 0;
-        std::size_t sliceLen = 0;
-        bool truncated = false;
-        bool clearPending = false;
-    };
-
-    std::vector<FeedCursor> cursors(feeds.size());
+    std::vector<Cursor> cursors(feeds.size());
     std::vector<BatchLane> lanes;
-    std::vector<PendingEval> evals;
 
-    // Round loop: every round gathers at most one stage-boundary
-    // slice per undecided stream, normalises it with that stream's
-    // cumulative statistics (same slice sequence as the serial
-    // feedChunk, so identical statistics), folds all slices as one
-    // lane batch, then applies the stage decisions.  Streams whose
-    // chunk crosses several boundaries simply take several rounds.
+    // Round loop: every round takes the next slice of every undecided
+    // stream from the stage walk, normalises it with that stream's
+    // cumulative statistics (same slice sequence as the serial walk,
+    // so identical statistics), folds all slices as one lane batch,
+    // then applies them in feed order.  Streams whose chunk crosses
+    // several boundaries simply take several rounds.
     while (true) {
         lanes.clear();
-        evals.clear();
         for (std::size_t i = 0; i < feeds.size(); ++i) {
-            FeedCursor &cur = cursors[i];
-            if (cur.finished)
+            Cursor &cur = cursors[i];
+            if (cur.done)
                 continue;
-            StreamFeed &feed = feeds[i];
-            if (feed.stream == nullptr)
-                fatal("feedChunkBatch feed needs a stream");
-            ClassifierStream &st = *feed.stream;
-            if (st.decided) { // mirrors feedChunk()'s early return
-                cur.finished = true;
+            const auto slice = nextSlice(feeds[i], cur.used);
+            if (!slice) {
+                cur.done = true;
                 continue;
             }
-
-            if (!cur.tailDone) {
-                if (st.stageIdx < stages_.size()) {
-                    const std::size_t prefix =
-                        stages_[st.stageIdx].prefixSamples;
-                    const std::size_t have =
-                        st.samplesSeen() + (feed.chunk.size() - cur.used);
-                    if (have >= prefix) {
-                        // Same slice assembly as feedChunk(): straight
-                        // from the chunk, or pending topped up to the
-                        // boundary.
-                        const std::size_t need = prefix - st.consumed;
-                        std::span<const RawSample> slice;
-                        bool clear_pending = false;
-                        if (st.pending.empty()) {
-                            slice = feed.chunk.subspan(cur.used, need);
-                            cur.used += need;
-                        } else {
-                            const std::size_t from_chunk =
-                                need - st.pending.size();
-                            st.pending.insert(
-                                st.pending.end(),
-                                feed.chunk.begin() +
-                                    std::ptrdiff_t(cur.used),
-                                feed.chunk.begin() +
-                                    std::ptrdiff_t(cur.used + from_chunk));
-                            cur.used += from_chunk;
-                            slice =
-                                std::span<const RawSample>(st.pending);
-                            clear_pending = true;
-                        }
-                        cur.norm = st.normalizer.normalizeChunk(slice)
-                                       .samples;
-                        evals.push_back(PendingEval{
-                            i, lanes.size(), slice.size(),
-                            /*truncated=*/false, clear_pending});
-                        lanes.push_back(
-                            BatchLane{&st.dp, cur.norm, {}});
-                        continue; // one slice per stream per round
-                    }
-                }
-                // No boundary reachable any more: bank the remainder,
-                // exactly like feedChunk()'s trailing pending insert.
-                st.pending.insert(st.pending.end(),
-                                  feed.chunk.begin() +
-                                      std::ptrdiff_t(cur.used),
-                                  feed.chunk.end());
-                cur.used = feed.chunk.size();
-                cur.tailDone = true;
-            }
-
-            if (!feed.endOfRead) {
-                cur.finished = true;
-                continue;
-            }
-            // finishStream() semantics for the truncated tail.
-            if (st.samplesSeen() == 0) {
-                st.result.keep = true;
-                st.decided = true;
-                cur.finished = true;
-                continue;
-            }
-            if (st.pending.empty()) {
-                // Empty tail: no DP fold, straight to the scaled-
-                // threshold decision (foldSlice() no-ops on empty).
-                evaluateStage(st, /*truncated=*/true);
-                st.decided = true;
-                cur.finished = true;
-                continue;
-            }
-            cur.norm = st.normalizer
-                           .normalizeChunk(std::span<const RawSample>(
-                               st.pending))
-                           .samples;
-            evals.push_back(PendingEval{i, lanes.size(),
-                                        st.pending.size(),
-                                        /*truncated=*/true,
-                                        /*clearPending=*/true});
+            ClassifierStream &st = *feeds[i].stream;
+            cur.slice = *slice;
+            cur.norm = st.normalizer.normalizeChunk(slice->raw).samples;
             lanes.push_back(BatchLane{&st.dp, cur.norm, {}});
         }
         if (lanes.empty())
@@ -317,20 +246,11 @@ SquiggleFilterClassifier::feedChunkBatch(std::span<StreamFeed> feeds,
         kernel.processMany(
             lanes, std::span<const NormSample>(reference_.samples()));
 
-        for (const PendingEval &e : evals) {
-            ClassifierStream &st = *feeds[e.feed].stream;
-            const QuantSdtw::Result &folded = lanes[e.lane].result;
-            st.result.cost = folded.cost;
-            st.result.refEnd = folded.refEnd;
-            st.consumed += e.sliceLen;
-            st.rowsFolded += e.sliceLen;
-            if (e.clearPending)
-                st.pending.clear();
-            evaluateStage(st, e.truncated);
-            if (e.truncated) {
-                st.decided = true; // truncated stages always decide
-                cursors[e.feed].finished = true;
-            }
+        std::size_t lane = 0;
+        for (std::size_t i = 0; i < feeds.size(); ++i) {
+            if (!cursors[i].done)
+                applySlice(*feeds[i].stream, cursors[i].slice,
+                           lanes[lane++].result);
         }
     }
 }

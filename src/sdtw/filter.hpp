@@ -15,6 +15,7 @@
  */
 
 #include <cstddef>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -54,22 +55,23 @@ struct Classification
  * normalised with cumulative statistics and folded into the saved DP
  * row — O(new samples) per decision instead of re-aligning the whole
  * prefix, exactly what the hardware's checkpointed systolic array
- * does (§4.6).  The offline classify() is implemented on top of this
- * state, so streaming and offline results are bit-identical by
- * construction.
+ * does (§4.6).  One stage walk cuts every feed into those slices:
+ * classify(), feedChunk()/finishStream() and feedChunkBatch() differ
+ * only in which engine folds them, so streaming, offline and batched
+ * results are bit-identical by construction.
  */
 struct ClassifierStream
 {
     MeanMadNormalizer normalizer; //!< cumulative mean/MAD statistics
     QuantSdtw::State dp;          //!< checkpointed DP row + dwells
     std::vector<RawSample> pending; //!< arrived but not yet folded
-    std::size_t consumed = 0;     //!< raw samples folded into the DP
+    /** Raw samples folded into the DP: one DP row each, so this is
+        also the incremental scheme's work. */
+    std::size_t consumed = 0;
     std::size_t stageIdx = 0;     //!< next stage to evaluate
     bool decided = false;         //!< a final keep/eject was reached
     Classification result;        //!< latest cost/decision snapshot
 
-    /** DP rows actually folded (the incremental scheme's work). */
-    std::uint64_t rowsFolded = 0;
     /** Rows a full prefix re-alignment per decision would have cost. */
     std::uint64_t rowsNaive = 0;
 
@@ -145,13 +147,14 @@ class SquiggleFilterClassifier
     /**
      * Feed one chunk into many independent streams at once, gathering
      * the DP folds of all of them into SIMD lane batches on
-     * @p kernel (whose config must equal this classifier's).  Exactly
+     * @p kernel (whose config must equal this classifier's).  Each
+     * round takes the next stage slice of every undecided stream from
+     * the same walk feedChunk()+finishStream() run, folds them all in
+     * one kernel call and applies them, so the result is exactly
      * equivalent to feedChunk()+optional finishStream() per feed —
      * same costs, decisions, stage counts and checkpoint states, bit
-     * for bit — but every stage-boundary fold advances up to
-     * kernel.laneCapacity() reads per DP row.  Streams must be
-     * distinct objects; decided streams are skipped like feedChunk()
-     * does.
+     * for bit.  Streams must be distinct objects; decided streams are
+     * skipped like feedChunk() does.
      */
     void feedChunkBatch(std::span<StreamFeed> feeds,
                         BatchSdtw &kernel) const;
@@ -187,9 +190,33 @@ class SquiggleFilterClassifier
     const pore::ReferenceSquiggle &reference() const { return reference_; }
 
   private:
-    /** Normalise @p slice and fold it into the checkpointed DP row. */
-    void foldSlice(ClassifierStream &stream,
-                   std::span<const RawSample> slice) const;
+    /** One slice of raw signal a stream owes its DP row. */
+    struct StageSlice
+    {
+        std::span<const RawSample> raw; //!< samples to normalise + fold
+        bool fromPending = false; //!< raw views the stream's pending
+        bool truncated = false;   //!< end-of-read tail: final stage
+    };
+
+    /**
+     * The stage walk: the next slice @p feed's stream owes, taking
+     * chunk samples from @p used on, or nothing once the rest of the
+     * chunk is banked in `pending` (or the stream is decided).  A
+     * slice runs up to the next stage boundary — straight from the
+     * chunk, or `pending` topped up to the boundary — or, at end of
+     * read, is the truncated tail.  An empty read is decided keep,
+     * and a read ending exactly on a boundary is decided on the
+     * scaled threshold, without a slice.
+     */
+    std::optional<StageSlice> nextSlice(const StreamFeed &feed,
+                                        std::size_t &used) const;
+    /** Apply @p slice once @p folded holds its DP fold: take its
+        cost, count its samples as folded, drop `pending` if it was
+        the source, and evaluate the stage. */
+    void applySlice(ClassifierStream &stream, const StageSlice &slice,
+                    const QuantSdtw::Result &folded) const;
+    /** Walk @p feed, folding each slice on the serial engine. */
+    void walkSerial(const StreamFeed &feed) const;
     /** Threshold-check the current stage (truncated = short read). */
     void evaluateStage(ClassifierStream &stream, bool truncated) const;
 

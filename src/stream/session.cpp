@@ -475,7 +475,7 @@ class FlowcellLoop
             ch.read->isTarget(), r.keep, r.cost, r.samplesUsed, r.stagesRun,
             t});
         stats_.confusion.add(ch.read->isTarget(), r.keep);
-        stats_.dpRowsFolded += ch.stream.rowsFolded;
+        stats_.dpRowsFolded += ch.stream.consumed;
         stats_.dpRowsNaive += ch.stream.rowsNaive;
         (r.keep ? stats_.readsKept : stats_.readsEjected) += 1;
     }

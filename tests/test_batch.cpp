@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "common/logging.hpp"
@@ -1219,6 +1220,270 @@ TEST_F(BatchFilterTest, ProcessBatchLaneBatchedMatchesSerialClassify)
         EXPECT_EQ(batch[i].refEnd, serial.refEnd);
         EXPECT_EQ(batch[i].samplesUsed, serial.samplesUsed);
         EXPECT_EQ(batch[i].stagesRun, serial.stagesRun);
+    }
+}
+
+// ---------------------------------------------------------------- //
+//          the stage walk against a hand-folded oracle              //
+// ---------------------------------------------------------------- //
+
+/** A stream's snapshot as the stage rule defines it. */
+struct WalkSnapshot
+{
+    Classification result;
+    bool decided = false;
+};
+
+/**
+ * The §4.6 stage rule folded by hand, independent of the classifier's
+ * walk: in prefix order, one normalizeChunk() per stage slice on one
+ * cumulative normaliser, then QuantSdtw::process() on one checkpoint.
+ * Returns the snapshot after each stage evaluation; a read shorter
+ * than a prefix is judged there on the proportionally scaled
+ * threshold, and an empty read is a keep without any evaluation.
+ */
+std::vector<WalkSnapshot>
+walkOracle(const std::vector<FilterStage> &stages,
+           std::span<const RawSample> raw,
+           const pore::ReferenceSquiggle &reference, const SdtwConfig &config)
+{
+    if (raw.empty())
+        return {WalkSnapshot{Classification{.keep = true}, true}};
+    const QuantSdtw engine(config);
+    MeanMadNormalizer normalizer;
+    QuantSdtw::State dp;
+    std::vector<WalkSnapshot> snaps;
+    WalkSnapshot snap;
+    std::size_t folded = 0;
+    for (std::size_t s = 0; s < stages.size(); ++s) {
+        const std::size_t end = std::min(stages[s].prefixSamples, raw.size());
+        if (end > folded) {
+            const auto norm =
+                normalizer.normalizeChunk(raw.subspan(folded, end - folded));
+            const auto r = engine.process(
+                std::span<const NormSample>(norm.samples),
+                std::span<const NormSample>(reference.samples()), dp);
+            snap.result.cost = r.cost;
+            snap.result.refEnd = r.refEnd;
+            folded = end;
+        }
+        const bool truncated = raw.size() < stages[s].prefixSamples;
+        const Cost threshold =
+            truncated ? Cost(double(stages[s].threshold) * double(folded) /
+                             double(stages[s].prefixSamples))
+                      : stages[s].threshold;
+        snap.result.samplesUsed = folded;
+        snap.result.stagesRun = s + 1;
+        if (snap.result.cost > threshold) {
+            snap.decided = true;
+        } else if (truncated || s + 1 == stages.size()) {
+            snap.result.keep = true;
+            snap.decided = true;
+        }
+        snaps.push_back(snap);
+        if (snap.decided)
+            break;
+    }
+    return snaps;
+}
+
+/** Checks every snapshot a walk shows against the oracle's. */
+struct WalkChecker
+{
+    std::vector<WalkSnapshot> oracle;
+    std::size_t seenStages = 0;
+    std::size_t checks = 0;
+
+    void
+    check(const ClassifierStream &stream, const std::string &what)
+    {
+        const Classification &got = stream.result;
+        const bool empty_read = oracle.front().result.stagesRun == 0;
+        if (got.stagesRun == seenStages && !(empty_read && stream.decided))
+            return;
+        ASSERT_GE(got.stagesRun, 1u + seenStages - empty_read) << what;
+        ASSERT_LE(got.stagesRun, oracle.size()) << what;
+        const WalkSnapshot &want =
+            oracle[empty_read ? 0 : got.stagesRun - 1];
+        EXPECT_EQ(got.cost, want.result.cost) << what;
+        EXPECT_EQ(got.refEnd, want.result.refEnd) << what;
+        EXPECT_EQ(got.samplesUsed, want.result.samplesUsed) << what;
+        EXPECT_EQ(got.stagesRun, want.result.stagesRun) << what;
+        EXPECT_EQ(got.keep, want.result.keep) << what;
+        EXPECT_EQ(stream.decided, want.decided) << what;
+        seenStages = got.stagesRun;
+        ++checks;
+    }
+};
+
+TEST(StageWalkTest, SerialAndBatchedFeedsMatchHandFoldedOracle)
+{
+    const pore::KmerModel model = pore::KmerModel::makeR941();
+    const genome::Genome virus = genome::makeSynthetic(
+        "walk", {.length = 400, .gcContent = 0.42, .seed = 91});
+    const pore::ReferenceSquiggle reference(virus, model);
+
+    // Target reads replay the reference's expected current with
+    // random dwells and noise (low cost); background reads are noise
+    // (high cost).  The lengths put read ends exactly on each
+    // boundary, mid-stage, past the last stage, and at zero.
+    Rng rng(0x57a9eULL);
+    std::vector<FilterStage> permissive = {
+        {300, 1u << 30}, {700, 1u << 30}, {1200, 1u << 30}};
+    const std::vector<std::size_t> lengths = {
+        0, 150, 300, 500, 700, 1000, 1200, 2000, 299, 301, 701, 1199};
+    std::vector<std::vector<RawSample>> reads;
+    for (std::size_t len : lengths) {
+        for (bool target : {true, false}) {
+            std::vector<RawSample> raw;
+            const auto &level = reference.floatSamples();
+            std::size_t at = std::size_t(rng.uniformInt(0, 100));
+            while (raw.size() < len) {
+                const double mean =
+                    target ? 500.0 + 40.0 * level[at++ % level.size()]
+                           : rng.uniform(300.0, 700.0);
+                for (auto d = rng.uniformInt(4, 12); d > 0; --d)
+                    raw.push_back(RawSample(mean + rng.uniform(-12.0, 12.0)));
+            }
+            raw.resize(len);
+            reads.push_back(std::move(raw));
+        }
+    }
+
+    // A permissive schedule walks every boundary; the calibrated one
+    // ejects about half the reads at each stage, so early ejects,
+    // scaled-threshold keeps and ejects all occur.  The edge schedule
+    // sets stage 2's threshold to 1.2x the cost of the 500-sample
+    // background read, which ejects it only because a read ending
+    // mid-stage is judged on 500/700 of the threshold.
+    std::vector<FilterStage> calibrated = permissive;
+    for (std::size_t s = 0; s < calibrated.size(); ++s) {
+        std::vector<Cost> costs;
+        for (const auto &raw : reads) {
+            if (raw.size() >= calibrated[s].prefixSamples)
+                costs.push_back(walkOracle(permissive, raw, reference,
+                                           hardwareConfig())[s]
+                                    .result.cost);
+        }
+        std::nth_element(costs.begin(), costs.begin() + costs.size() / 2,
+                         costs.end());
+        calibrated[s].threshold = costs[costs.size() / 2];
+    }
+    const std::size_t edge_read = 2 * 3 + 1; // lengths[3], background
+    ASSERT_EQ(reads[edge_read].size(), 500u);
+    std::vector<FilterStage> edge = permissive;
+    edge[1].threshold = Cost(
+        1.2 * double(walkOracle(permissive, reads[edge_read], reference,
+                                hardwareConfig())
+                         .back()
+                         .result.cost));
+
+    for (const auto *schedule : {&permissive, &calibrated, &edge}) {
+        const std::vector<FilterStage> &stages = *schedule;
+        SquiggleFilterClassifier classifier(reference);
+        classifier.setStages(stages);
+        std::vector<std::vector<WalkSnapshot>> oracles;
+        std::size_t kept = 0, scaled = 0;
+        for (const auto &raw : reads) {
+            oracles.push_back(
+                walkOracle(stages, raw, reference, classifier.config()));
+            const WalkSnapshot &last = oracles.back().back();
+            kept += last.result.keep;
+            scaled += !raw.empty() &&
+                      raw.size() <
+                          stages[last.result.stagesRun - 1].prefixSamples;
+        }
+        ASSERT_GT(scaled, 0u);
+        ASSERT_GT(kept, 0u);
+        if (schedule == &calibrated) {
+            ASSERT_LT(kept, reads.size());
+        }
+        if (schedule == &edge) {
+            ASSERT_FALSE(oracles[edge_read].back().result.keep);
+            ASSERT_EQ(oracles[edge_read].back().result.stagesRun, 2u);
+        }
+
+        // Serial: random splits (empty chunks included), each chunk
+        // crossing at most one boundary, then an empty end of read.
+        for (std::size_t r = 0; r < reads.size(); ++r) {
+            const std::span<const RawSample> raw(reads[r]);
+            WalkChecker checker{oracles[r]};
+            ClassifierStream stream = classifier.beginStream();
+            for (std::size_t at = 0; at < raw.size();) {
+                const auto len = std::min<std::size_t>(
+                    std::size_t(rng.uniformInt(0, 250)), raw.size() - at);
+                classifier.feedChunk(stream, raw.subspan(at, len));
+                at += len;
+                checker.check(stream, "serial read " + std::to_string(r));
+            }
+            classifier.finishStream(stream);
+            checker.check(stream, "serial read " + std::to_string(r));
+            EXPECT_TRUE(stream.decided);
+            EXPECT_EQ(checker.checks, oracles[r].size()) << "read " << r;
+        }
+
+        // Batched, on every backend and both sides of the serial
+        // cutover: all reads in lockstep, the end of read riding on
+        // the last chunk or arriving as an empty chunk of its own.
+        for (SimdBackend backend : availableBackends()) {
+            for (bool thin : {false, true}) {
+                BatchSdtw kernel(classifier.config(),
+                                 BatchSdtw::kDefaultLaneCapacity, backend);
+                if (!thin)
+                    kernel.setSerialCutover(0);
+                const std::string what =
+                    std::string(simdBackendName(backend)) +
+                    (thin ? " thin" : " wide") + " read ";
+                std::vector<ClassifierStream> streams(reads.size());
+                std::vector<WalkChecker> checkers;
+                for (const auto &oracle : oracles)
+                    checkers.push_back(WalkChecker{oracle});
+                std::vector<std::size_t> offsets(reads.size(), 0);
+                std::vector<bool> ended(reads.size(), false);
+                for (bool more = true; more;) {
+                    more = false;
+                    std::vector<StreamFeed> feeds;
+                    std::vector<std::size_t> fed;
+                    for (std::size_t r = 0; r < reads.size(); ++r) {
+                        if (ended[r])
+                            continue;
+                        const std::span<const RawSample> raw(reads[r]);
+                        const auto len = std::min<std::size_t>(
+                            std::size_t(rng.uniformInt(0, 250)),
+                            raw.size() - offsets[r]);
+                        offsets[r] += len;
+                        // One evaluation per call keeps every snapshot
+                        // visible: the end rides only on a chunk that
+                        // crosses no boundary.
+                        const bool crosses = std::any_of(
+                            stages.begin(), stages.end(),
+                            [&](const FilterStage &st) {
+                                return offsets[r] - len < st.prefixSamples &&
+                                       st.prefixSamples <= offsets[r];
+                            });
+                        ended[r] = offsets[r] == raw.size() &&
+                                   (len == 0 ||
+                                    (!crosses && rng.uniformInt(0, 1) == 1));
+                        feeds.push_back(StreamFeed{
+                            &streams[r],
+                            raw.subspan(offsets[r] - len, len), ended[r]});
+                        fed.push_back(r);
+                        more = true;
+                    }
+                    if (feeds.empty())
+                        break;
+                    classifier.feedChunkBatch(feeds, kernel);
+                    for (std::size_t r : fed)
+                        checkers[r].check(streams[r],
+                                          what + std::to_string(r));
+                }
+                for (std::size_t r = 0; r < reads.size(); ++r) {
+                    EXPECT_TRUE(streams[r].decided) << what << r;
+                    EXPECT_EQ(checkers[r].checks, oracles[r].size())
+                        << what << r;
+                }
+            }
+        }
     }
 }
 

@@ -1069,7 +1069,7 @@ TEST_F(FleetTest, LaneBatchedFleetMatchesOfflineClassifyBitExactly)
             sdtw::ClassifierStream stream = classifier().beginStream();
             classifier().feedChunk(stream, read.raw);
             const auto offline = classifier().finishStream(stream);
-            offline_rows += stream.rowsFolded;
+            offline_rows += stream.consumed;
             EXPECT_EQ(rec.keep, offline.keep) << context;
             EXPECT_EQ(rec.cost, offline.cost) << context;
             EXPECT_EQ(rec.samplesUsed, offline.samplesUsed) << context;

@@ -279,5 +279,34 @@ TEST(Fasta, HandlesCrLfAndEmptyLines)
     EXPECT_EQ(parsed[0].toString(), "ACGT");
 }
 
+/** readFasta(@p text) must raise FatalError naming @p line. */
+void
+expectFastaFatalAt(const std::string &text, const std::string &line)
+{
+    std::stringstream ss(text);
+    try {
+        const auto parsed = readFasta(ss);
+        ADD_FAILURE() << "parsed " << parsed.size() << " record(s)";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(line), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(Fasta, SequenceBeforeFirstHeaderIsFatal)
+{
+    expectFastaFatalAt("ACGT\n>b\nGG\n", "FASTA line 1:");
+}
+
+TEST(Fasta, HeaderWithoutNameIsFatal)
+{
+    expectFastaFatalAt(">\nACGT\n>b\nGG\n", "FASTA line 1:");
+}
+
+TEST(Fasta, HeaderWithOnlyADescriptionIsFatal)
+{
+    expectFastaFatalAt("> desc\nACGT\n", "FASTA line 1:");
+}
+
 } // namespace
 } // namespace sf::genome

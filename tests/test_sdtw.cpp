@@ -663,6 +663,7 @@ TEST_F(FilterTest, StagePrefixesMustIncrease)
     EXPECT_THROW(classifier.setStages({{2000, 10}, {1000, 5}}),
                  FatalError);
     EXPECT_THROW(classifier.setStages({}), FatalError);
+    EXPECT_THROW(classifier.setStages({{0, 10}, {1000, 5}}), FatalError);
 }
 
 // ---------------------------------------------------------------- //
@@ -758,19 +759,19 @@ TEST_F(FilterTest, StreamIgnoresChunksAfterDecision)
     ASSERT_TRUE(stream.decided);
     EXPECT_FALSE(stream.result.keep);
     const auto decided = stream.result;
-    const auto rows_folded = stream.rowsFolded;
+    const auto rows_folded = stream.consumed;
 
     classifier.feedChunk(
         stream, std::span<const RawSample>(read.raw).subspan(1000, 500));
     EXPECT_EQ(stream.result.cost, decided.cost);
-    EXPECT_EQ(stream.rowsFolded, rows_folded); // no further DP work
+    EXPECT_EQ(stream.consumed, rows_folded); // no further DP work
     EXPECT_TRUE(stream.pending.empty());       // not even buffered
 }
 
 TEST_F(FilterTest, StreamWorkCountersModelCheckpointSavings)
 {
     // A 4-stage schedule evaluated incrementally folds each sample
-    // once (rowsFolded == final prefix) while the naive counter sums
+    // once (consumed == final prefix) while the naive counter sums
     // one full re-alignment per decision.
     SquiggleFilterClassifier classifier(reference());
     classifier.setStages({{500, 1u << 30},
@@ -784,9 +785,9 @@ TEST_F(FilterTest, StreamWorkCountersModelCheckpointSavings)
     auto stream = classifier.beginStream();
     classifier.feedChunk(stream, read.raw);
     ASSERT_TRUE(stream.decided);
-    EXPECT_EQ(stream.rowsFolded, 2000u);
+    EXPECT_EQ(stream.consumed, 2000u);
     EXPECT_EQ(stream.rowsNaive, 500u + 1000u + 1500u + 2000u);
-    EXPECT_EQ(double(stream.rowsNaive) / double(stream.rowsFolded), 2.5);
+    EXPECT_EQ(double(stream.rowsNaive) / double(stream.consumed), 2.5);
 }
 
 TEST_F(FilterTest, UniformScheduleScalesThresholdsLinearly)

@@ -248,7 +248,7 @@ TEST_F(SessionTest, LaneBatchedWorkersMatchOfflineClassifyBitExactly)
         sdtw::ClassifierStream stream = classifier().beginStream();
         classifier().feedChunk(stream, read.raw);
         const auto offline = classifier().finishStream(stream);
-        offline_rows += stream.rowsFolded;
+        offline_rows += stream.consumed;
         for (const DecisionRecord *rec : {&a, &b}) {
             EXPECT_EQ(rec->keep, offline.keep) << "record " << i;
             EXPECT_EQ(rec->cost, offline.cost) << "record " << i;
