@@ -215,6 +215,9 @@ ORACLE_TESTS = {
         "the SIMD backends are no longer pinned to the seed costs",
     "ColumnsDifferentialAgainstPlainDp":
         "the columns kernel is no longer checked against the plain DP",
+    "DifferentialAgainstPlainDpRandomConfigs":
+        "the routing of every config (lane kernel or serial engine) is "
+        "no longer checked against the plain DP",
 }
 
 

@@ -1,7 +1,6 @@
 #include "sdtw/batch.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/logging.hpp"
 #include "common/topology.hpp"
@@ -52,20 +51,20 @@ cpuSupports(SimdBackend backend)
 #endif
 }
 
-/** The backend's row folds; empty for Serial, which has none.  With no
-    lane backend compiled in, the config goes unread. */
+/** The backend's kernels for @p config; empty for Serial, which has
+    none, and for a config outside the lane shape.  With no lane
+    backend compiled in, the config goes unread. */
 detail::FoldRowFns
-resolveFold(SimdBackend backend, [[maybe_unused]] const SdtwConfig &config,
-            [[maybe_unused]] bool use_bonus)
+resolveFold(SimdBackend backend, [[maybe_unused]] const SdtwConfig &config)
 {
     switch (backend) {
 #if defined(SF_BATCH_HAVE_AVX2)
     case SimdBackend::Avx2:
-        return detail::resolveFoldRowAvx2(config, use_bonus);
+        return detail::resolveFoldRowAvx2(config);
 #endif
 #if defined(SF_BATCH_HAVE_AVX512)
     case SimdBackend::Avx512:
-        return detail::resolveFoldRowAvx512(config, use_bonus);
+        return detail::resolveFoldRowAvx512(config);
 #endif
     default:
         return {};
@@ -141,11 +140,9 @@ BatchSdtw::BatchSdtw(SdtwConfig config, std::size_t lane_capacity,
     }
     width_ = simdLaneWidth(backend_);
     capacity_ = (lane_capacity + width_ - 1) / width_ * width_;
-    bonusUnit_ = Cost(std::llround(config.matchBonus));
-    fold_ = resolveFold(backend_, config, config.matchBonus > 0.0);
-    serialCutover_ = fold_.columns != nullptr
-                         ? width_
-                         : std::max(kDefaultSerialCutover, width_ * 3 / 4);
+    bonusShift_ = detail::laneShift(config);
+    fold_ = resolveFold(backend_, config);
+    serialCutover_ = width_;
 }
 
 void
@@ -193,9 +190,9 @@ BatchSdtw::validate(std::span<BatchLane> lanes,
 {
     if (reference.empty())
         fatal("sDTW reference must be non-empty");
-    // Widest cell cost: an int8 difference is at most 255.
-    const Cost cell_max =
-        config().metric == CostMetric::SquaredDifference ? 255 * 255 : 255;
+    // Widest cell cost of the lane shape: an int8 absolute difference
+    // is at most 255.
+    constexpr Cost cell_max = 255;
     bool fits = true;
     for (const BatchLane &lane : lanes) {
         const QuantSdtw::State *state = lane.state;
@@ -232,16 +229,16 @@ BatchSdtw::processMany(std::span<BatchLane> lanes,
                        std::span<const NormSample> reference)
 {
     const bool fits = validate(lanes, reference);
-    if (backend_ == SimdBackend::Serial || !fits ||
+    if (fold_.fold1 == nullptr || !fits ||
         lanes.size() < std::max<std::size_t>(serialCutover_, 1)) {
         // Thin calls: the columns kernel puts one read's columns in
         // the lanes, so it wastes none.  The occupancy accounting
         // still charges b jobs b * W slots, as it did when every
         // thin call folded on the serial engine.  That engine still
         // takes a call with a lane that could saturate (its adds
-        // saturate, the SIMD kernels' wrap), reference-deletion
-        // configs and AVX2 (no columns kernel) and the Serial
-        // backend (no SIMD kernel at all).
+        // saturate, the SIMD kernels' wrap) and every call with no
+        // lane kernel: a config outside the lane shape, or the Serial
+        // backend.
         foldStats_.serialCalls += 1;
         foldStats_.laneJobs += lanes.size();
         foldStats_.laneSlots += lanes.size() * width_;
@@ -280,7 +277,7 @@ BatchSdtw::runColumns(std::span<BatchLane> lanes,
             query = query.subspan(1);
         }
         fold_.columns(query.data(), query.size(), reference.data(), m,
-                      state.row.data(), state.dwell.data(), bonusUnit_,
+                      state.row.data(), state.dwell.data(), bonusShift_,
                       cap);
         state.rowsDone += query.size();
         lane.result = summarise(state);
@@ -453,7 +450,7 @@ BatchSdtw::runBatched(std::span<BatchLane> lanes,
                 sw.fn(qlane_.data() + sw.r0 * width,
                       reference.data() + j0, len, width, groups,
                       rows_.data() + j0 * width,
-                      dwell_.data() + j0 * width, bonusUnit_, cap,
+                      dwell_.data() + j0 * width, bonusShift_, cap,
                       tiled ? carry_.data() +
                                   si * detail::carrySlots(width)
                             : nullptr,

@@ -27,18 +27,21 @@
  * CPUID at run time, so binaries built with SF_KERNEL_NATIVE=OFF still
  * run everywhere.  A host with neither gets the Serial backend: no
  * lane kernel, every call folds on the serial engine (narrower lane
- * kernels measured slower than it).  Both lane backends are
- * bit-identical to the serial QuantSdtw engine for every configuration
- * (tests/test_batch.cpp pins this).
+ * kernels measured slower than it).  The lane kernels fold one
+ * recurrence, the accelerator's datapath (paper §4.7): absolute
+ * difference, no reference deletions and a power-of-two match bonus,
+ * which is hardwareConfig() and every config the library folds.  For
+ * that shape they are bit-identical to the serial QuantSdtw engine;
+ * a BatchSdtw built with any other config folds every call on
+ * QuantSdtw, exactly as the Serial backend does
+ * (tests/test_batch.cpp pins both).
  *
- * A call with fewer reads than the lane cutover would leave most
- * lanes idle, so it takes a thin path.  On AVX-512 that is the
- * columns kernel (batch_kernel.hpp): one vector holds 16 consecutive
- * reference columns of one read, folded in place in the read's own
- * checkpoint, one read after another.  It needs a DP row to depend
- * only on the row above, so reference-deletion configs fold thin
- * calls on the serial engine, as does AVX2, whose form of the kernel
- * measured slower than the serial engine.
+ * A call with fewer reads than one vector of lanes would leave most
+ * of them idle, so it takes a thin path: the columns kernel
+ * (batch_kernel.hpp).  One vector holds W consecutive reference
+ * columns of one read, folded in place in the read's own checkpoint,
+ * one read after another; without reference deletions a DP row
+ * depends only on the row above, so a row's W columns fold at once.
  *
  * The batched fold adds costs without saturating.  That is exact only
  * while no cost can pass kCostMax, so each call first bounds every
@@ -115,7 +118,11 @@ struct BatchLane
  * keep that charge and their serialCalls count whether they fold on
  * the serial engine or on the columns kernel, so occupancy and the
  * serial share stay comparable with records taken before the columns
- * kernel; columnCalls says how many took it.  The
+ * kernel; columnCalls says how many took it.  A call routed to the
+ * serial engine whatever its width (a config outside the lane shape,
+ * or a lane whose costs could saturate) counts the same way: one
+ * serialCalls, laneJobs += b, laneSlots += b * W, and no columnCalls,
+ * exactly as every call on the Serial backend (W = 1) does.  The
  * ratio laneJobs/laneSlots is therefore the fraction of the SIMD
  * width doing useful work — the "lane occupancy" the fleet stats
  * snapshot and BENCH_fleet.json report.  Counters are plain integers
@@ -152,18 +159,15 @@ class BatchSdtw
     static constexpr std::size_t kDefaultLaneCapacity = 32;
 
     /**
-     * Floor of the thin-vs-batched crossover.  The effective default
-     * scales with the backend: a batch always folds whole vector
-     * groups, so b jobs on a W-lane backend pay for roundup(b, W)
-     * lanes of work, and below some share of a group the wasted
-     * lanes cost more than the thin path.  Where the backend has a
-     * columns kernel for the config, thin calls run at ~7 G cells/s,
-     * level with the batched kernel at 15 of 16 AVX-512 lanes and
-     * ahead below, so every call short of one full vector group is
-     * thin: the cutover is laneWidth().  Elsewhere thin calls fold
-     * on the serial engine (itself vectorised along the reference)
-     * and the cutover stays max(kDefaultSerialCutover,
-     * 3 * laneWidth() / 4).  setSerialCutover() overrides either.
+     * Fewest lanes a pool sizes a worker's kernel for (the stream
+     * pools and the benchmark's tracer read it).  The thin-vs-batched
+     * crossover is one vector group instead: a batch always folds
+     * whole groups, so b jobs on a W-lane backend pay for
+     * roundup(b, W) lanes of work, while thin calls fold on the
+     * columns kernel at ~7 G cells/s on AVX-512, level with the
+     * batched kernel at 15 of 16 lanes and ahead below.  So every
+     * call short of one full vector group is thin: the default
+     * cutover is laneWidth(), and setSerialCutover() overrides it.
      */
     static constexpr std::size_t kDefaultSerialCutover = 4;
 
@@ -190,10 +194,10 @@ class BatchSdtw
      * — same costs, same refEnd, same checkpointed row/dwell, bit for
      * bit — but up to laneCapacity() lanes advance per row fold, and
      * retired lanes are refilled from the remaining ones.  Calls
-     * below the cutover fold on the columns kernel where the backend
-     * has one for the config, and on the serial engine otherwise.
-     * Calls with a lane whose costs could saturate, and every call on
-     * the Serial backend, run the serial engine.
+     * below the cutover fold on the columns kernel.  Calls with a
+     * lane whose costs could saturate, every call of a config outside
+     * the lane shape and every call on the Serial backend run the
+     * serial engine.
      */
     void processMany(std::span<BatchLane> lanes,
                      std::span<const NormSample> reference);
@@ -249,7 +253,7 @@ class BatchSdtw
     std::size_t serialCutover_ = kDefaultSerialCutover;
     std::size_t tileCols_ = 0; //!< column-tile override, 0 = auto
     FoldStats foldStats_{};
-    Cost bonusUnit_ = 0;
+    int bonusShift_ = -1; //!< detail::laneShift() of the config
     detail::FoldRowFns fold_{};
 
     // Interleaved `[column][lane]` scratch, grown on demand.

@@ -24,13 +24,6 @@ struct Avx2Ops
 {
     static constexpr int kMaxStrip = 4;
     static constexpr std::size_t W = 8;
-    // No columns kernel: its one-lane shift costs vperm2i128 plus
-    // vpalignr here, and the unsigned compare and dwell select take
-    // three ops each.  On a 4-core AVX-512 Xeon (gcc 12.2) it folded
-    // one read at 2.4-2.5 G cells/s and two at 2.5-3.0 G, below the
-    // serial engine's 3.0-3.7 G, so thin calls on this backend fold
-    // on the serial engine.
-    static constexpr bool kColumns = false;
     using Vec = __m256i;
     using Mask = __m256i;
 
@@ -48,6 +41,12 @@ struct Avx2Ops
     static void storeU32(Cost *p, Vec v)
     {
         _mm256_storeu_si256(reinterpret_cast<__m256i *>(p), v);
+    }
+    /** W consecutive reference samples, sign-extended. */
+    static Vec loadRef(const NormSample *p)
+    {
+        return _mm256_cvtepi8_epi32(
+            _mm_loadl_epi64(reinterpret_cast<const __m128i *>(p)));
     }
     static Vec loadDwell(const std::uint8_t *p)
     {
@@ -69,18 +68,12 @@ struct Avx2Ops
     }
     static Vec addI32(Vec a, Vec b) { return _mm256_add_epi32(a, b); }
     static Vec subI32(Vec a, Vec b) { return _mm256_sub_epi32(a, b); }
-    static Vec mulI32(Vec a, Vec b) { return _mm256_mullo_epi32(a, b); }
     static Vec absI32(Vec v) { return _mm256_abs_epi32(v); }
     static Mask gtU32(Vec a, Vec b)
     {
         const __m256i bias = _mm256_set1_epi32(int(0x80000000u));
         return _mm256_cmpgt_epi32(_mm256_xor_si256(a, bias),
                                   _mm256_xor_si256(b, bias));
-    }
-    static Mask ltU32(Vec a, Vec b) { return gtU32(b, a); }
-    static Vec select(Mask m, Vec t, Vec f)
-    {
-        return _mm256_blendv_epi8(f, t, m);
     }
     static Vec minI32(Vec a, Vec b) { return _mm256_min_epi32(a, b); }
     static Vec minU32(Vec a, Vec b) { return _mm256_min_epu32(a, b); }
@@ -93,20 +86,30 @@ struct Avx2Ops
     {
         return _mm256_srl_epi32(v, _mm_cvtsi32_si128(count));
     }
+    /**
+     * [prev lane 7, cur lanes 0..6]: vperm2i128 gathers
+     * [prev lanes 4..7, cur lanes 0..3], then vpalignr shifts each
+     * 128-bit half of cur up one lane, filling from that.
+     */
+    static Vec shiftInLane(Vec cur, Vec prev)
+    {
+        const __m256i mid = _mm256_permute2x128_si256(prev, cur, 0x21);
+        return _mm256_alignr_epi8(cur, mid, 12);
+    }
     /** kgt ? min(dw + one, cap) : one (the post-fold dwell update). */
     static Vec dwellBump(Vec dw, Vec one, Vec capv, Vec, Mask kgt)
     {
-        return select(kgt, _mm256_min_epi32(addI32(dw, one), capv),
-                      one);
+        return _mm256_blendv_epi8(
+            one, _mm256_min_epi32(addI32(dw, one), capv), kgt);
     }
 };
 
 } // namespace
 
 FoldRowFns
-resolveFoldRowAvx2(const SdtwConfig &config, bool use_bonus)
+resolveFoldRowAvx2(const SdtwConfig &config)
 {
-    return resolveFoldRow<Avx2Ops>(config, use_bonus);
+    return resolveFoldRow<Avx2Ops>(config);
 }
 
 } // namespace sf::sdtw::detail

@@ -23,12 +23,10 @@ namespace {
 struct Avx512Ops
 {
     // 32 zmm registers hold an 8-row strip's query, inPrev and dwPrev
-    // vectors plus the per-column temporaries: the no-reference-
-    // deletion inner loops run without spills.
+    // vectors plus the per-column temporaries: the inner loops run
+    // without spills.
     static constexpr int kMaxStrip = 8;
     static constexpr std::size_t W = 16;
-    // Thin calls fold on the columns kernel (shiftInLane, loadRef).
-    static constexpr bool kColumns = true;
     using Vec = __m512i;
     using Mask = __mmask16;
 
@@ -60,19 +58,10 @@ struct Avx512Ops
     }
     static Vec addI32(Vec a, Vec b) { return _mm512_add_epi32(a, b); }
     static Vec subI32(Vec a, Vec b) { return _mm512_sub_epi32(a, b); }
-    static Vec mulI32(Vec a, Vec b) { return _mm512_mullo_epi32(a, b); }
     static Vec absI32(Vec v) { return _mm512_abs_epi32(v); }
-    static Mask ltU32(Vec a, Vec b)
-    {
-        return _mm512_cmplt_epu32_mask(a, b);
-    }
     static Mask gtU32(Vec a, Vec b)
     {
         return _mm512_cmpgt_epu32_mask(a, b);
-    }
-    static Vec select(Mask m, Vec t, Vec f)
-    {
-        return _mm512_mask_blend_epi32(m, f, t);
     }
     static Vec minI32(Vec a, Vec b) { return _mm512_min_epi32(a, b); }
     static Vec minU32(Vec a, Vec b) { return _mm512_min_epu32(a, b); }
@@ -105,9 +94,9 @@ struct Avx512Ops
 } // namespace
 
 FoldRowFns
-resolveFoldRowAvx512(const SdtwConfig &config, bool use_bonus)
+resolveFoldRowAvx512(const SdtwConfig &config)
 {
-    return resolveFoldRow<Avx512Ops>(config, use_bonus);
+    return resolveFoldRow<Avx512Ops>(config);
 }
 
 } // namespace sf::sdtw::detail

@@ -22,37 +22,38 @@
  * dependency).  It needs reference deletions off, where S[i][j]
  * depends on row i-1 alone.
  *
- * Each backend translation unit (batch_avx2.cpp, batch_avx512.cpp)
+ * The kernels fold one recurrence: the accelerator's datapath (paper
+ * §4.7) of absolute difference, no reference deletions and a
+ * power-of-two match bonus (laneShift() below).  Every configuration
+ * BatchSdtw is built with in the library, its benches and examples
+ * has that shape; any other one folds on the serial QuantSdtw engine
+ * (batch.cpp), which the fig18 ablation scores through anyway.  Each
+ * backend translation unit (batch_avx2.cpp, batch_avx512.cpp)
  * instantiates the templates below with its own `Ops` vector-trait
- * struct and exports a resolver that maps an SdtwConfig onto the right
- * specialisation.  The recurrence is
- * kept expression-for-expression identical to SdtwEngine::foldRow in
- * engine.cpp: batched costs are bit-exact against the serial engine
- * for every configuration (enforced by tests/test_batch.cpp).
+ * struct and exports a resolver that returns the kernels for a
+ * lane-shaped config and none for any other.  The recurrence is kept
+ * expression-for-expression identical to SdtwEngine::foldRow in
+ * engine.cpp: for the lane shape, batched costs are bit-exact against
+ * the serial engine (enforced by tests/test_batch.cpp).
  *
  * An `Ops` struct provides, over vectors of W unsigned 32-bit lanes:
  *   W, Vec, Mask, kMaxStrip (deepest strip: 8 where 32 vector
  *   registers hold the strip state, 4 on 16-register ISAs),
  *   broadcast(i32), loadI32, loadU32/storeU32, loadDwell/storeDwell
- *   (u8 memory <-> u32 lanes), addI32, subI32, mulI32 (low 32 bits),
- *   shlI32/shrI32 (runtime count), absI32, minI32, minU32, maxU32,
- *   ltU32/gtU32 (unsigned compares producing a Mask),
- *   select(mask, if_true, if_false), and dwellBump (the fused
+ *   (u8 memory <-> u32 lanes), addI32, subI32, shlI32/shrI32 (runtime
+ *   count), absI32, minI32, minU32, maxU32, gtU32 (an unsigned compare
+ *   producing a Mask), dwellBump (the fused
  *   `kgt ? min(dw + one, cap) : one` update — AVX-512 folds it into a
- *   zero-masked min plus one add), and kColumns.  Where kColumns is
- *   true it also provides the columns kernel's two: loadRef (W int8
- *   reference samples, sign-extended) and shiftInLane(cur, prev)
- *   (`[prev[W-1], cur[0 .. W-2]]`, one valignd on AVX-512).  AVX2
- *   sets it false: its two-op shift and three-op compare and select
- *   left the kernel slower than the serial engine, so its thin calls
- *   stay serial.
+ *   zero-masked min plus one add), and the columns kernel's two:
+ *   loadRef (W int8 reference samples, sign-extended) and
+ *   shiftInLane(cur, prev) (`[prev[W-1], cur[0 .. W-2]]`, one valignd
+ *   on AVX-512, vperm2i128 plus vpalignr on AVX2).
  *
  * Neither fold saturates, so the cost add is a plain addI32.  Proof:
  * every cell is `best + cell` with best <= the vertical predecessor
  * S[i-1][j] (the first column has only that predecessor), and the
  * bonus only subtracts, so a row's maximum grows by at most the
- * largest cell cost per folded row — 255 for
- * AbsoluteDifference and 255^2 for SquaredDifference, the widest int8
+ * largest cell cost per folded row — 255, the widest int8 absolute
  * difference.  BatchSdtw::validate() bounds every lane by its resumed
  * row maximum plus query length times that cost, and routes the whole
  * call to the serial engine (whose adds saturate) when any bound
@@ -60,6 +61,7 @@
  * saturates either, so the plain add is bit-exact against it.
  */
 
+#include <cmath>
 #include <cstdint>
 #include <type_traits>
 
@@ -77,9 +79,9 @@ namespace sf::sdtw::detail {
 /** Strip rows a carry slab reserves per plane (the deepest strip any
  * backend offers; shallower sweeps simply leave the tail unused). */
 inline constexpr std::size_t kCarryStrip = 8;
-/** Register planes one sweep carries across a tile edge: inPrev,
- * dwPrev, and (reference-deletion configs only) outPrev. */
-inline constexpr std::size_t kCarryPlanes = 3;
+/** Register planes one sweep carries across a tile edge: inPrev and
+ * dwPrev. */
+inline constexpr std::size_t kCarryPlanes = 2;
 
 /** Cost slots one sweep's tile-carry slab occupies for a given lane
  * stride; plane p, strip row t lives at `(p * kCarryStrip + t) *
@@ -88,6 +90,33 @@ inline constexpr std::size_t
 carrySlots(std::size_t stride)
 {
     return kCarryPlanes * kCarryStrip * stride;
+}
+
+/**
+ * Largest bonus shift the kernels pre-scale by.  The signed minI32 of
+ * the dwell update sees `dwell + 1` for any dwell a state can hold (a
+ * uint8_t, up to 255), which stays exact only while `256 << shift`
+ * fits an int32.
+ */
+inline constexpr int kMaxPrescaleShift = 22;
+
+/**
+ * The lane kernels' shape: absolute difference, no reference
+ * deletions, and a match bonus that rounds to 2^s with s <=
+ * kMaxPrescaleShift.  Returns s, or -1 for a config of any other
+ * shape, which folds on the serial engine instead.
+ */
+inline int
+laneShift(const SdtwConfig &config)
+{
+    if (config.metric != CostMetric::AbsoluteDifference ||
+        config.allowReferenceDeletion)
+        return -1;
+    const long long unit = std::llround(config.matchBonus);
+    for (int s = 0; s <= kMaxPrescaleShift; ++s)
+        if (unit == 1LL << s)
+            return s;
+    return -1;
 }
 
 /**
@@ -100,8 +129,8 @@ carrySlots(std::size_t stride)
  *
  * Column tiling: the driver may hand the sweep a sub-range of the
  * reference (a cache-sized tile) instead of all of it.  The sweep's
- * horizontal register state (inPrev/dwPrev/outPrev per strip row) is
- * then parked in @p carry at the tile edge and reloaded when the same
+ * horizontal register state (inPrev/dwPrev per strip row) is then
+ * parked in @p carry at the tile edge and reloaded when the same
  * sweep resumes on the next tile, so a tiled walk computes exactly
  * the cell sequence an untiled one would — bit for bit.
  *
@@ -118,6 +147,7 @@ carrySlots(std::size_t stride)
  * @param rows    interleaved cost rows `[j * stride + lane]` of the
  *                tile (offset like @p ref), updated in place
  * @param dwell   interleaved capped dwell counters, same layout
+ * @param shift   the bonus shift s of laneShift() (bonus = 2^s)
  * @param carry   this sweep's boundary-state slab of carrySlots()
  *                Cost slots, or nullptr when the walk is untiled
  * @param lead_tile true on the reference's first tile: the sweep runs
@@ -128,7 +158,7 @@ carrySlots(std::size_t stride)
 using FoldRowFn = void (*)(const std::int32_t *q, const NormSample *ref,
                            std::size_t m, std::size_t stride,
                            std::size_t groups, Cost *rows,
-                           std::uint8_t *dwell, Cost bonus_unit,
+                           std::uint8_t *dwell, int shift,
                            std::uint8_t cap, Cost *carry,
                            bool lead_tile);
 
@@ -140,16 +170,15 @@ using FoldRowFn = void (*)(const std::int32_t *q, const NormSample *ref,
 using FoldColumnsFn = void (*)(const NormSample *q, std::size_t n,
                                const NormSample *ref, std::size_t m,
                                Cost *row, std::uint8_t *dwell,
-                               Cost bonus_unit, std::uint8_t cap);
+                               int shift, std::uint8_t cap);
 
 /** Column blocks one columns sweep folds side by side (measured: 3
  * and 4 fold within noise of each other, 1.4x one block). */
 inline constexpr std::size_t kColumnsUnroll = 3;
 
 /** Strip variants a backend offers; the driver picks the deepest one
- * every in-flight lane has enough remaining samples for.  The columns
- * fold is null on backends without kColumns and for reference-
- * deletion configs, whose in-row dependency it cannot carry. */
+ * every in-flight lane has enough remaining samples for.  All null
+ * for a config outside the lane shape (laneShift() < 0). */
 struct FoldRowFns
 {
     FoldRowFn fold1 = nullptr; //!< 1 row per sweep
@@ -159,16 +188,12 @@ struct FoldRowFns
     FoldColumnsFn columns = nullptr; //!< thin calls, one read a sweep
 };
 
-/** Pointwise cost with the metric resolved at compile time. */
-template <class Ops, bool Squared>
+/** Pointwise absolute-difference cost. */
+template <class Ops>
 inline typename Ops::Vec
 cellCostV(typename Ops::Vec q, typename Ops::Vec r)
 {
-    const auto ad = Ops::absI32(Ops::subI32(q, r));
-    if constexpr (Squared)
-        return Ops::mulI32(ad, ad);
-    else
-        return ad;
+    return Ops::absI32(Ops::subI32(q, r));
 }
 
 /** Saturating unsigned subtract clamping at zero. */
@@ -179,21 +204,6 @@ satSubV(typename Ops::Vec a, typename Ops::Vec b)
     return Ops::subI32(Ops::maxU32(a, b), b);
 }
 
-/** How the match bonus enters the recurrence. */
-enum class BonusMode {
-    Off,   //!< matchBonus == 0: no reward term at all
-    Mul,   //!< reward = bonus_unit * dwell (general case)
-    Shift, //!< bonus_unit = 2^s: dwell is carried as reward, dwell << s
-};
-
-/**
- * Largest shift BonusMode::Shift pre-scales by.  The signed minI32 of
- * the dwell update sees `dwell + 1` for any dwell a state can hold (a
- * uint8_t, up to 255), which stays exact only while `256 << shift`
- * fits an int32.  Larger power-of-two bonuses take BonusMode::Mul.
- */
-inline constexpr int kMaxPrescaleShift = 22;
-
 /**
  * One batched strip update: fold rows i .. i+N-1 of every lane in a
  * single in-place sweep over the interleaved buffers.
@@ -202,56 +212,43 @@ inline constexpr int kMaxPrescaleShift = 22;
  * for its derivation); batched costs are bit-exact.  Per column, row
  * t consumes the carried register state of row t-1: `in[t]` is
  * S[i-1+t][j] (t = 0 comes from memory, t > 0 is the fold output of
- * the row above), `inPrev[t]`/`dwPrev[t]` are the same quantities one
- * column back, and for RefDel `outPrev[t]` is S[i+t][j-1].  Only the
- * last row of the strip touches memory on the way out, so the
- * per-column load/store/pack/broadcast overhead is amortised over N
- * folded rows and the sweep stays vector-ALU-bound.
+ * the row above), and `inPrev[t]`/`dwPrev[t]` are the same
+ * quantities one column back.  Only the last row of the strip
+ * touches memory on the way out, so the per-column
+ * load/store/pack/broadcast overhead is amortised over N folded rows
+ * and the sweep stays vector-ALU-bound.
  *
- * In BonusMode::Shift the dwell lives pre-scaled in registers and the
- * carry slab — `dwell << s` for bonus_unit = 2^s, which is the reward
- * itself — so the per-cell shift becomes one shift per column on the
- * load and one on the store.  `one`, `cap` and `cap - 1` are scaled
- * alike; min and add commute with the shift while `256 << s` fits an
- * int32 (kMaxPrescaleShift), so stored dwell counts are unchanged.
+ * The dwell lives pre-scaled in registers and the carry slab —
+ * `dwell << s` for bonus 2^s, which is the reward itself — so the
+ * per-cell multiply becomes one shift per column on the load and one
+ * on the store.  `one`, `cap` and `cap - 1` are scaled alike; min and
+ * add commute with the shift while `256 << s` fits an int32
+ * (kMaxPrescaleShift), so stored dwell counts are unchanged.
  *
  * When the driver tiles the reference, the same horizontal register
  * state is saved to / restored from @p carry at tile edges (see
  * FoldRowFn); the arithmetic per cell and its input provenance are
  * unchanged, so tiled and untiled walks agree bit for bit.
  */
-template <class Ops, bool Squared, bool RefDel, BonusMode Bonus, int N>
+template <class Ops, int N>
 void
 foldRowBatch(const std::int32_t *SF_BATCH_RESTRICT q,
              const NormSample *SF_BATCH_RESTRICT ref, std::size_t m,
              std::size_t stride, std::size_t groups,
              Cost *SF_BATCH_RESTRICT rows,
-             std::uint8_t *SF_BATCH_RESTRICT dwell, Cost bonus_unit,
+             std::uint8_t *SF_BATCH_RESTRICT dwell, int shift,
              std::uint8_t cap, Cost *SF_BATCH_RESTRICT carry,
              bool lead_tile)
 {
     using Vec = typename Ops::Vec;
-    constexpr bool UseBonus = Bonus != BonusMode::Off;
-    constexpr bool Prescaled = Bonus == BonusMode::Shift;
-    int shift = 0;
-    if constexpr (Prescaled) {
-        while ((Cost(1) << shift) < bonus_unit)
-            ++shift;
-    }
     const Vec capv = Ops::broadcast(std::int32_t(cap) << shift);
     const Vec capm1v = Ops::broadcast((std::int32_t(cap) - 1) << shift);
     const Vec onev = Ops::broadcast(std::int32_t(1) << shift);
-    const Vec bonusv = Ops::broadcast(std::int32_t(bonus_unit));
     const auto loadDw = [&](const std::uint8_t *p) {
-        if constexpr (Prescaled)
-            return Ops::shlI32(Ops::loadDwell(p), shift);
-        else
-            return Ops::loadDwell(p);
+        return Ops::shlI32(Ops::loadDwell(p), shift);
     };
     const auto storeDw = [&](std::uint8_t *p, Vec v) {
-        if constexpr (Prescaled)
-            v = Ops::shrI32(v, shift);
-        Ops::storeDwell(p, v);
+        Ops::storeDwell(p, Ops::shrI32(v, shift));
     };
 
     for (std::size_t g = 0; g < groups; ++g) {
@@ -266,8 +263,7 @@ foldRowBatch(const std::int32_t *SF_BATCH_RESTRICT q,
         std::uint8_t *SF_BATCH_RESTRICT d = dwell + base;
 
         // Carried per-row register state, one column behind.
-        Vec inPrev[std::size_t(N)], dwPrev[std::size_t(N)],
-            outPrev[std::size_t(N)];
+        Vec inPrev[std::size_t(N)], dwPrev[std::size_t(N)];
         Cost *SF_BATCH_RESTRICT cb =
             carry != nullptr ? carry + base : nullptr;
 
@@ -282,14 +278,8 @@ foldRowBatch(const std::int32_t *SF_BATCH_RESTRICT q,
                 const auto ts = std::size_t(t);
                 inPrev[ts] = in;
                 dwPrev[ts] = dw;
-                const Vec out = Ops::addI32(
-                    in, cellCostV<Ops, Squared>(qv[ts], refv));
-                const Vec ndw =
-                    Ops::minI32(Ops::addI32(dw, onev), capv);
-                if constexpr (RefDel)
-                    outPrev[ts] = out;
-                in = out;
-                dw = ndw;
+                in = Ops::addI32(in, cellCostV<Ops>(qv[ts], refv));
+                dw = Ops::minI32(Ops::addI32(dw, onev), capv);
             }
             Ops::storeU32(r, in);
             storeDw(d, dw);
@@ -303,9 +293,6 @@ foldRowBatch(const std::int32_t *SF_BATCH_RESTRICT q,
                     Ops::loadU32(cb + (0 * kCarryStrip + ts) * stride);
                 dwPrev[ts] =
                     Ops::loadU32(cb + (1 * kCarryStrip + ts) * stride);
-                if constexpr (RefDel)
-                    outPrev[ts] = Ops::loadU32(
-                        cb + (2 * kCarryStrip + ts) * stride);
             }
             j0 = 0;
         }
@@ -318,33 +305,20 @@ foldRowBatch(const std::int32_t *SF_BATCH_RESTRICT q,
             Vec dw = loadDw(dj);
             for (int t = 0; t < N; ++t) {
                 const auto ts = std::size_t(t);
-                Vec diag = inPrev[ts];
-                if constexpr (UseBonus) {
-                    Vec reward = dwPrev[ts];
-                    if constexpr (RefDel) // serial path re-caps here
-                        reward = Ops::minI32(reward, capv);
-                    if constexpr (!Prescaled)
-                        reward = Ops::mulI32(bonusv, reward);
-                    diag = satSubV<Ops>(diag, reward);
-                }
+                // The pre-scaled dwell one column back is the reward.
+                const Vec diag = satSubV<Ops>(inPrev[ts], dwPrev[ts]);
                 // kgt = !take_diag; dwellBump computes the serial
                 // engine's `take_diag ? 1 : min(dw + 1, cap)` (dwell
                 // is stored pre-capped, so the min form is exact).
                 const auto kgt = Ops::gtU32(diag, in);
-                Vec best = Ops::minU32(diag, in);
-                Vec ndw = Ops::dwellBump(dw, onev, capv, capm1v, kgt);
-                if constexpr (RefDel) {
-                    const auto lt = Ops::ltU32(outPrev[ts], best);
-                    best = Ops::minU32(best, outPrev[ts]);
-                    ndw = Ops::select(lt, onev, ndw);
-                }
+                const Vec best = Ops::minU32(diag, in);
+                const Vec ndw =
+                    Ops::dwellBump(dw, onev, capv, capm1v, kgt);
                 // Plain add: validate() proved no lane can saturate.
-                const Vec out = Ops::addI32(
-                    best, cellCostV<Ops, Squared>(qv[ts], refv));
+                const Vec out =
+                    Ops::addI32(best, cellCostV<Ops>(qv[ts], refv));
                 inPrev[ts] = in;
                 dwPrev[ts] = dw;
-                if constexpr (RefDel)
-                    outPrev[ts] = out;
                 in = out;
                 dw = ndw;
             }
@@ -360,9 +334,6 @@ foldRowBatch(const std::int32_t *SF_BATCH_RESTRICT q,
                               inPrev[ts]);
                 Ops::storeU32(cb + (1 * kCarryStrip + ts) * stride,
                               dwPrev[ts]);
-                if constexpr (RefDel)
-                    Ops::storeU32(cb + (2 * kCarryStrip + ts) * stride,
-                                  outPrev[ts]);
             }
         }
     }
@@ -382,8 +353,8 @@ foldRowBatch(const std::int32_t *SF_BATCH_RESTRICT q,
  * any vertical cost validate() admits (every folded input stays below
  * kCostMax), so lane 0 of the first block takes the vertical move as
  * SdtwEngine::foldRow's first column does.  The reward is carried
- * pre-scaled in BonusMode::Shift, exactly as foldRowBatch does, and
- * dwell is converted to and from its u8 storage on block load/store.
+ * pre-scaled, exactly as foldRowBatch does, and dwell is converted to
+ * and from its u8 storage on block load/store.
  *
  * A block's strip rows form one dependency chain, each waiting on
  * the row above, but block u+1 needs only block u's `pre` of the
@@ -394,27 +365,19 @@ foldRowBatch(const std::int32_t *SF_BATCH_RESTRICT q,
  * lanes sit above the last column, and the one-lane shift only moves
  * values upward, so they feed no real column.
  */
-template <class Ops, bool Squared, BonusMode Bonus, std::size_t N>
+template <class Ops, std::size_t N>
 void
 foldColumnsStrip(const NormSample *SF_BATCH_RESTRICT q,
                  const NormSample *SF_BATCH_RESTRICT ref, std::size_t m,
                  Cost *SF_BATCH_RESTRICT row,
-                 std::uint8_t *SF_BATCH_RESTRICT dwell, Cost bonus_unit,
+                 std::uint8_t *SF_BATCH_RESTRICT dwell, int shift,
                  std::uint8_t cap)
 {
     using Vec = typename Ops::Vec;
     constexpr std::size_t W = Ops::W;
-    constexpr bool UseBonus = Bonus != BonusMode::Off;
-    constexpr bool Prescaled = Bonus == BonusMode::Shift;
-    int shift = 0;
-    if constexpr (Prescaled) {
-        while ((Cost(1) << shift) < bonus_unit)
-            ++shift;
-    }
     const Vec capv = Ops::broadcast(std::int32_t(cap) << shift);
     const Vec capm1v = Ops::broadcast((std::int32_t(cap) - 1) << shift);
     const Vec onev = Ops::broadcast(std::int32_t(1) << shift);
-    const Vec bonusv = Ops::broadcast(std::int32_t(bonus_unit));
 
     Vec qv[N], carry[N];
     for (std::size_t t = 0; t < N; ++t) {
@@ -430,34 +393,23 @@ foldColumnsStrip(const NormSample *SF_BATCH_RESTRICT q,
         for (std::size_t u = 0; u < U; ++u) {
             refv[u] = Ops::loadRef(rp + u * W);
             in[u] = Ops::loadU32(rb + u * W);
-            dw[u] = Ops::loadDwell(db + u * W);
-            if constexpr (Prescaled)
-                dw[u] = Ops::shlI32(dw[u], shift);
+            dw[u] = Ops::shlI32(Ops::loadDwell(db + u * W), shift);
         }
         for (std::size_t t = 0; t < N; ++t) {
             for (std::size_t u = 0; u < U; ++u) {
-                Vec pre = in[u];
-                if constexpr (UseBonus) {
-                    Vec reward = dw[u];
-                    if constexpr (!Prescaled)
-                        reward = Ops::mulI32(bonusv, reward);
-                    pre = satSubV<Ops>(pre, reward);
-                }
+                const Vec pre = satSubV<Ops>(in[u], dw[u]);
                 const Vec diag = Ops::shiftInLane(pre, carry[t]);
                 carry[t] = pre;
                 // The compare, min and dwell update of foldRowBatch.
                 const auto kgt = Ops::gtU32(diag, in[u]);
                 const Vec best = Ops::minU32(diag, in[u]);
                 dw[u] = Ops::dwellBump(dw[u], onev, capv, capm1v, kgt);
-                in[u] = Ops::addI32(
-                    best, cellCostV<Ops, Squared>(qv[t], refv[u]));
+                in[u] = Ops::addI32(best, cellCostV<Ops>(qv[t], refv[u]));
             }
         }
         for (std::size_t u = 0; u < U; ++u) {
             Ops::storeU32(rb + u * W, in[u]);
-            if constexpr (Prescaled)
-                dw[u] = Ops::shrI32(dw[u], shift);
-            Ops::storeDwell(db + u * W, dw[u]);
+            Ops::storeDwell(db + u * W, Ops::shrI32(dw[u], shift));
         }
     };
 
@@ -491,17 +443,17 @@ foldColumnsStrip(const NormSample *SF_BATCH_RESTRICT q,
 
 /** Columns-in-lanes fold of one read (FoldColumnsFn), deepest strip
  * first. */
-template <class Ops, bool Squared, BonusMode Bonus>
+template <class Ops>
 void
 foldColumns(const NormSample *q, std::size_t n, const NormSample *ref,
-            std::size_t m, Cost *row, std::uint8_t *dwell,
-            Cost bonus_unit, std::uint8_t cap)
+            std::size_t m, Cost *row, std::uint8_t *dwell, int shift,
+            std::uint8_t cap)
 {
     constexpr std::size_t kDeep = std::size_t(Ops::kMaxStrip);
     for (std::size_t r = 0; r < n;) {
         const auto sweep = [&](auto depth) {
-            foldColumnsStrip<Ops, Squared, Bonus, depth.value>(
-                q + r, ref, m, row, dwell, bonus_unit, cap);
+            foldColumnsStrip<Ops, depth.value>(q + r, ref, m, row, dwell,
+                                               shift, cap);
             r += depth.value;
         };
         const std::size_t left = n - r;
@@ -516,70 +468,34 @@ foldColumns(const NormSample *q, std::size_t n, const NormSample *ref,
     }
 }
 
-/** Map runtime config switches to the right template instantiations. */
+/** The backend's kernels for @p config: every strip depth its
+ * register budget allows (past it the spills cost more than the
+ * amortisation saves) and the columns fold, or none outside the lane
+ * shape. */
 template <class Ops>
 FoldRowFns
-resolveFoldRow(const SdtwConfig &config, bool use_bonus)
+resolveFoldRow(const SdtwConfig &config)
 {
-    const bool sq = config.metric == CostMetric::SquaredDifference;
-    const bool rd = config.allowReferenceDeletion;
-    const auto bonus_unit = static_cast<Cost>(config.matchBonus + 0.5);
-    const bool shiftable = use_bonus && bonus_unit != 0 &&
-                           (bonus_unit & (bonus_unit - 1)) == 0 &&
-                           bonus_unit <= (Cost(1) << kMaxPrescaleShift);
-    const BonusMode mode = !use_bonus ? BonusMode::Off
-                           : shiftable ? BonusMode::Shift
-                                       : BonusMode::Mul;
-
-    const auto pick = [](auto squared, auto refdel, auto bonus) {
-        constexpr bool S = decltype(squared)::value;
-        constexpr bool R = decltype(refdel)::value;
-        constexpr BonusMode B = decltype(bonus)::value;
-        // Strip depth is capped per backend: deeper strips carry more
-        // per-row register state, and past the architectural register
-        // budget the spills cost more than the amortisation saves.
-        FoldRowFns fns;
-        fns.fold1 = &foldRowBatch<Ops, S, R, B, 1>;
-        fns.fold2 = &foldRowBatch<Ops, S, R, B, 2>;
-        fns.fold4 = &foldRowBatch<Ops, S, R, B, 4>;
-        if constexpr (Ops::kMaxStrip >= 8)
-            fns.fold8 = &foldRowBatch<Ops, S, R, B, 8>;
-        if constexpr (Ops::kColumns && !R)
-            fns.columns = &foldColumns<Ops, S, B>;
+    FoldRowFns fns;
+    if (laneShift(config) < 0)
         return fns;
-    };
-    const auto with_bonus = [&](auto squared, auto refdel) {
-        switch (mode) {
-        case BonusMode::Off:
-            return pick(squared, refdel,
-                        std::integral_constant<BonusMode,
-                                               BonusMode::Off>{});
-        case BonusMode::Mul:
-            return pick(squared, refdel,
-                        std::integral_constant<BonusMode,
-                                               BonusMode::Mul>{});
-        default:
-            return pick(squared, refdel,
-                        std::integral_constant<BonusMode,
-                                               BonusMode::Shift>{});
-        }
-    };
-    const auto with_refdel = [&](auto squared) {
-        return rd ? with_bonus(squared, std::true_type{})
-                  : with_bonus(squared, std::false_type{});
-    };
-    return sq ? with_refdel(std::true_type{})
-              : with_refdel(std::false_type{});
+    fns.fold1 = &foldRowBatch<Ops, 1>;
+    fns.fold2 = &foldRowBatch<Ops, 2>;
+    fns.fold4 = &foldRowBatch<Ops, 4>;
+    if constexpr (Ops::kMaxStrip >= 8)
+        fns.fold8 = &foldRowBatch<Ops, 8>;
+    fns.columns = &foldColumns<Ops>;
+    return fns;
 }
 
 // Per-backend resolvers, defined in their own translation units so
 // each can be compiled with exactly the ISA flags it needs and picked
 // at runtime by CPU dispatch (see batch.cpp).
 #if defined(SF_BATCH_HAVE_AVX2)
-FoldRowFns resolveFoldRowAvx2(const SdtwConfig &config, bool use_bonus);
+FoldRowFns resolveFoldRowAvx2(const SdtwConfig &config);
 #endif
 #if defined(SF_BATCH_HAVE_AVX512)
-FoldRowFns resolveFoldRowAvx512(const SdtwConfig &config, bool use_bonus);
+FoldRowFns resolveFoldRowAvx512(const SdtwConfig &config);
 #endif
 
 } // namespace sf::sdtw::detail

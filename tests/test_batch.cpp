@@ -1,10 +1,12 @@
 /**
  * @file
- * Tests for the lane-batched SIMD sDTW kernel: every backend must be
- * bit-identical to the serial QuantSdtw engine for every recurrence
- * configuration, across ragged batches, lane refills, and
- * checkpointed enter/leave-the-batch streaming — plus the batched
- * classifier paths (feedChunkBatch, processBatch) that ride on it.
+ * Tests for the lane-batched SIMD sDTW kernel: BatchSdtw on every
+ * backend must be bit-identical to the serial QuantSdtw engine for
+ * every recurrence configuration (the lane kernels fold the
+ * accelerator's shape, every other config is routed to QuantSdtw),
+ * across ragged batches, lane refills, and checkpointed
+ * enter/leave-the-batch streaming — plus the batched classifier
+ * paths (feedChunkBatch, processBatch) that ride on it.
  * Result-equality tests run the Serial backend too, so a host without
  * a lane kernel still exercises BatchSdtw; tests of the batched path
  * itself run the lane backends only.
@@ -13,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -59,21 +62,29 @@ availableBackends()
     return out;
 }
 
-/** Whether @p backend folds thin calls on the columns kernel (the
-    AVX2 one measured slower than the serial engine and has none). */
+/**
+ * Whether BatchSdtw folds @p config on its lane kernels: the
+ * accelerator's datapath of absolute difference, no reference
+ * deletions and a match bonus rounding to a power of two no larger
+ * than 2^22.  Every other config is routed to the serial engine.
+ */
 bool
-hasColumns(SimdBackend backend)
+hasLaneShape(const SdtwConfig &config)
 {
-    return backend == SimdBackend::Avx512;
+    const long long unit = std::llround(config.matchBonus);
+    return config.metric == CostMetric::AbsoluteDifference &&
+           !config.allowReferenceDeletion && unit >= 1 &&
+           unit <= (1LL << 22) && (unit & (unit - 1)) == 0;
 }
 
 std::vector<SdtwConfig>
 allConfigs()
 {
     // All eight combinations of the recurrence switches, at the
-    // hardware dwell cap, plus the non-power-of-two bonus variants:
-    // the default bonus of 2 selects the kernel's shift reward path,
-    // bonus 3 its multiply path — both must be pinned.
+    // hardware dwell cap, plus the non-power-of-two bonus variants.
+    // Only the hardware config (abs, no ref-del, bonus 2) has the
+    // lane kernels' shape; the other nine pin that BatchSdtw routes
+    // them to the serial engine bit-exactly.
     std::vector<SdtwConfig> configs;
     for (int bits = 0; bits < 8; ++bits) {
         SdtwConfig config = hardwareConfig();
@@ -85,7 +96,7 @@ allConfigs()
             config.matchBonus = 0.0;
         configs.push_back(config);
         if (config.matchBonus > 0.0) {
-            config.matchBonus = 3.0; // BonusMode::Mul
+            config.matchBonus = 3.0; // not a power of two: routed
             configs.push_back(config);
         }
     }
@@ -533,8 +544,9 @@ TEST(BatchSdtwTest, CeilingRoutesUnprovableCallsSerially)
                       NormSample(127));
 
             // Above the cutover a provable call folds batched; below
-            // it, on the columns kernel where the backend has one.
-            // An unprovable call folds on the serial engine either way.
+            // it, on the columns kernel.  An unprovable call folds on
+            // the serial engine either way, as does every call of the
+            // squared metric, which has no lane kernel.
             for (SimdBackend backend : laneBackends()) {
                 for (const bool thin : {false, true}) {
                     std::vector<QuantSdtw::State> batch_states = states;
@@ -551,14 +563,12 @@ TEST(BatchSdtwTest, CeilingRoutesUnprovableCallsSerially)
                         std::string(simdBackendName(backend)) +
                         (thin ? " thin" : " wide") + " over " +
                         std::to_string(over);
-                    EXPECT_EQ(fs.serialCalls, thin || over ? 1u : 0u)
+                    const bool lane = hasLaneShape(config) && over == 0;
+                    EXPECT_EQ(fs.serialCalls, thin || !lane ? 1u : 0u)
                         << label;
-                    EXPECT_EQ(fs.batchedCalls, thin || over ? 0u : 1u)
+                    EXPECT_EQ(fs.batchedCalls, thin || !lane ? 0u : 1u)
                         << label;
-                    EXPECT_EQ(fs.columnCalls,
-                              thin && over == 0 && hasColumns(backend)
-                                  ? 1u
-                                  : 0u)
+                    EXPECT_EQ(fs.columnCalls, thin && lane ? 1u : 0u)
                         << label;
                     EXPECT_EQ(batch_states[0].row[0], kCostMax) << label;
                     expectMatchesSerial(config, lanes, ref, states,
@@ -645,10 +655,12 @@ TEST(BatchSdtwTest, DifferentialAgainstPlainDpRandomConfigs)
     // Seeded draws over metric x ref-del x bonus x dwell cap x lane
     // count x tile width x chunk split: the serial engine and every
     // available backend, lane backends forced onto the batched path,
-    // against the plain DP.  The bonus set covers off, the
-    // shift reward (1, 2, 2^22 — the deepest pre-scaled shift), the
-    // multiply reward (3) and a power of two too large to pre-scale
-    // (2^23: 256 << 23 overflows an int32).
+    // against the plain DP.  The bonus set covers off, the lane
+    // kernels' shift reward (1, 2, 2^22 — the deepest pre-scaled
+    // shift), a bonus that is not a power of two (3) and a power of
+    // two too large to pre-scale (2^23: 256 << 23 overflows an
+    // int32).  Draws outside the lane shape pin the routing: every
+    // call folds on the serial engine, charged b * W slots.
     const std::vector<double> bonuses{0.0, 1.0, 2.0, 3.0, 4194304.0,
                                       8388608.0};
     const std::vector<int> caps{1, 10, 255};
@@ -733,9 +745,15 @@ TEST(BatchSdtwTest, DifferentialAgainstPlainDpRandomConfigs)
                 kernel.processMany(lanes, ref);
             }
             const FoldStats &fs = kernel.foldStats();
-            ASSERT_EQ(backend == SimdBackend::Serial ? fs.batchedCalls
-                                                     : fs.serialCalls,
-                      0u);
+            if (backend == SimdBackend::Serial || !hasLaneShape(config)) {
+                ASSERT_EQ(fs.batchedCalls, 0u) << "draw " << draw;
+                ASSERT_EQ(fs.columnCalls, 0u) << "draw " << draw;
+                ASSERT_EQ(fs.serialCalls, max_chunks) << "draw " << draw;
+                ASSERT_EQ(fs.laneSlots, fs.laneJobs * kernel.laneWidth())
+                    << "draw " << draw;
+            } else {
+                ASSERT_EQ(fs.serialCalls, 0u) << "draw " << draw;
+            }
             for (std::size_t i = 0; i < n_lanes; ++i) {
                 const std::string label =
                     std::string(simdBackendName(backend)) + " draw " +
@@ -753,16 +771,19 @@ TEST(BatchSdtwTest, DifferentialAgainstPlainDpRandomConfigs)
 TEST(BatchSdtwTest, ColumnsDifferentialAgainstPlainDp)
 {
     // Thin calls, forced below the cutover, against the plain DP on
-    // every available backend (AVX-512 folds them on the columns
-    // kernel, the others on the serial engine).  Each draw takes one
-    // of the twelve no-reference-deletion configs (metric x Off /
-    // Shift / Mul bonus, two bonus units each) and b = 1 .. 15
-    // lanes of unequal query lengths, so strips of 8, 4, 2 and 1 rows
-    // all run.  References of 1 .. 41 columns cover the all-tail
-    // calls under one vector and every m mod 16; a few longer ones
-    // cross many unrolled blocks.  Each lane joins at a random call and folds its query
-    // in ragged chunks, so calls mix fresh states (column 0 seeded
-    // from the free-start row) with resumed ones.
+    // every available backend (the lane backends fold them on the
+    // columns kernel, the Serial backend on the serial engine).  Each
+    // draw takes one of the twelve no-reference-deletion configs
+    // (metric x bonus off / power of two / not pre-scalable, two
+    // bonus units each; only abs with bonus 2 or 2^22 has a lane
+    // kernel, the rest pin the routing to the serial engine) and
+    // b = 1 .. 15 lanes of unequal query lengths, so strips of 8, 4,
+    // 2 and 1 rows all run.  References of 1 .. 41 columns cover the
+    // all-tail calls under one vector and every m mod 16; a few
+    // longer ones cross many unrolled blocks.  Each lane joins at a
+    // random call and folds its query in ragged chunks, so calls mix
+    // fresh states (column 0 seeded from the free-start row) with
+    // resumed ones.
     const std::vector<double> bonuses{0.0, 0.0, 2.0, 4194304.0, 3.0,
                                       8388608.0};
     const std::vector<int> caps{1, 10, 255};
@@ -829,7 +850,10 @@ TEST(BatchSdtwTest, ColumnsDifferentialAgainstPlainDp)
             const FoldStats &fs = kernel.foldStats();
             ASSERT_EQ(fs.batchedCalls, 0u);
             ASSERT_EQ(fs.columnCalls,
-                      hasColumns(backend) ? fs.serialCalls : 0u);
+                      backend != SimdBackend::Serial &&
+                              hasLaneShape(config)
+                          ? fs.serialCalls
+                          : 0u);
             for (std::size_t i = 0; i < n_lanes; ++i) {
                 const std::string label =
                     std::string(simdBackendName(backend)) + " draw " +
@@ -879,8 +903,10 @@ TEST(BatchSdtwTest, GoldenCostsMatchSeedImplementation)
         {2, 6, 13602, 1629},  {2, 7, 676085, 1704},
     };
     // tile 0 = the auto heuristic (one tile at this reference size);
-    // tile 37 forces ~81 tiny tiles so every pinned cost is also
-    // reproduced through the tile-edge carry path, all 8 configs.
+    // tile 37 forces ~81 tiny tiles.  cfg 0 (the hardware config) is
+    // the one lane-kernel shape, so its pinned costs are reproduced
+    // through the tile-edge carry path; the other seven are routed
+    // to the serial engine, and their pins hold through that route.
     for (const std::size_t tile : {std::size_t(0), std::size_t(37)}) {
         for (SimdBackend backend : availableBackends()) {
             for (const auto &g : golden) {
