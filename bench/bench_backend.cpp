@@ -2,9 +2,10 @@
  * @file
  * Decision-backend bench: the same streaming session run side by side
  * on the measured software path (per-worker SIMD BatchSdtw, wall-clock
- * latency) and on the modelled ASIC path (hw::AsicBackend — identical
- * quantized DP, latency/energy from the systolic cycle model), plus a
- * design-space sweep over the array dimension.
+ * latency) and on the modelled ASIC path (an Asic session — identical
+ * quantized DP, latency/energy charged by its event loop from the
+ * systolic cycle model), plus a design-space sweep over the array
+ * dimension.
  *
  * The contract under test is the backend seam's first law: scores are
  * the software kernel's scores on every backend, so the decision log

@@ -66,8 +66,8 @@ Eleven rules, each encoding a correctness contract of this codebase:
   hw-layering              No file under src/stream/ or src/fleet/
                            includes an hw/ header, except
                            src/stream/decision_service.cpp, whose
-                           makeDecisionBackend() is the one place the
-                           stream layer reaches down into the
+                           ModeledHwStats::charge() is the one place
+                           the stream layer reaches down into the
                            modelled hardware (hw/ includes stream/,
                            never the reverse).
 
@@ -487,7 +487,7 @@ def rule_stage_walk_site(root: Path, findings: List[Finding]):
 
 HW_LAYERING_DIRS = ("src/stream", "src/fleet")
 
-# The one stream -> hw reach-down: makeDecisionBackend().
+# The one stream -> hw reach-down: ModeledHwStats::charge().
 HW_LAYERING_EXEMPT = ("src/stream/decision_service.cpp",)
 
 # Anchored at the line start, so a commented-out include never counts
@@ -502,7 +502,7 @@ def rule_hw_layering(root: Path, findings: List[Finding]):
             findings.append(
                 Finding(rule, rel, "exempt file is missing; point "
                         "HW_LAYERING_EXEMPT at where "
-                        "makeDecisionBackend() moved"))
+                        "ModeledHwStats::charge() moved"))
     for sub in HW_LAYERING_DIRS:
         for path in sorted((root / sub).rglob("*")):
             if path.suffix not in (".hpp", ".cpp"):
@@ -518,7 +518,7 @@ def rule_hw_layering(root: Path, findings: List[Finding]):
                             "src/stream/decision_service.cpp; the "
                             "stream and fleet layers reach the "
                             "modelled hardware only through "
-                            "makeDecisionBackend()"))
+                            "ModeledHwStats::charge()"))
 
 
 # ------------------------------------------------------------------ #

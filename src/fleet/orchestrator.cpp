@@ -205,17 +205,6 @@ FleetOrchestrator::addSession(SessionSpec spec)
                   "dwell); fleets must be config-uniform",
                   s.name.c_str());
     }
-    if (s.config.backend == stream::DecisionBackendKind::Asic) {
-        // The fleet models one chip, just as it shares one kernel
-        // shape: every Asic session must share ONE design point.
-        if (hasAsic_ && s.config.asic != asicSpec_)
-            fatal("FleetOrchestrator session '%s' disagrees with the "
-                  "fleet on the AsicSpec design point; a fleet models "
-                  "one chip (arrayDim/clock must match)",
-                  s.name.c_str());
-        asicSpec_ = s.config.asic;
-        hasAsic_ = true;
-    }
     const std::uint32_t id =
         pool_.registerSession(s.qos, s.config.backend);
     sessions_.push_back(std::move(state));
@@ -238,7 +227,7 @@ FleetOrchestrator::run()
 
     // Every fleet session shares the recurrence config (enforced in
     // addSession), so one kernel shape serves them all.
-    pool_.start(sessions_.front()->spec.classifier->config(), asicSpec_);
+    pool_.start(sessions_.front()->spec.classifier->config());
 
     // One driver thread per session: each runs its own virtual-time
     // event loop and waits (backpressure, decisions) independently,
@@ -269,7 +258,6 @@ FleetOrchestrator::run()
     out.sessions.reserve(sessions_.size());
     for (std::size_t i = 0; i < sessions_.size(); ++i) {
         SessionState &state = *sessions_[i];
-        state.result.stats.hwModel = pool_.modeledStats(std::uint32_t(i));
         state.result.stats.helpedDispatches =
             pool_.helpedDispatches(std::uint32_t(i));
         out.sessions.push_back(SessionOutcome{

@@ -8,7 +8,8 @@
  * Each ReadUntilSession models one flowcell, but a single half-loaded
  * flowcell rarely has enough concurrent in-flight decisions to fill a
  * SIMD lane batch — an AVX-512 fold wants 16 live requests, and below
- * the serial cutover the kernel drops to the serial engine entirely.
+ * the lane cutover the kernel folds each read on its own on the
+ * columns kernel.
  * The orchestrator shards many sessions over ONE worker pool so the
  * decision requests of different flowcells fold into the same lane
  * batches (grouped per classifier; a same-target surveillance fleet
@@ -216,11 +217,6 @@ class FleetOrchestrator final
 
     stream::DecisionPool pool_;
     std::vector<std::unique_ptr<SessionState>> sessions_;
-    /** Design point shared by every Asic session (addSession enforces
-        uniformity: one modelled chip per fleet, like the kernel
-        config). */
-    stream::AsicSpec asicSpec_{};
-    bool hasAsic_ = false;
 
     std::atomic<bool> started_{false};
     std::atomic<bool> finished_{false};

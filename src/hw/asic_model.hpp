@@ -13,8 +13,9 @@
  * cycle model, the latency/throughput claims of §7.1-§7.2.
  *
  * modelDecision() is the one closed-form timing model of the array:
- * hw::AsicBackend, hw::Tile and the AsicModel latency/throughput
- * figures all charge from it, and the test suite checks it against the
+ * an Asic session's decisions (stream::ModeledHwStats::charge),
+ * hw::Tile and the AsicModel latency/throughput figures all charge
+ * from it, and the test suite checks it against the
  * event-level hw::SystolicArray over random shapes.
  */
 

@@ -31,8 +31,9 @@ Tile::processRead(std::span<const RawSample> raw,
     sdtw::ClassifierStream stream = classifier.beginStream();
 
     // Feed the read stage by stage: snapshot the fold progress, fold,
-    // then charge the stage's new rows, as hw::AsicBackend does per
-    // decision.  A read shorter than a stage prefix ends there.
+    // then charge the stage's new rows, as an Asic session's event
+    // loop does per decision.  A read shorter than a stage prefix ends
+    // there.
     TileResult result;
     for (std::size_t s = 0; s < stages.size() && !stream.decided; ++s) {
         const std::size_t want =

@@ -159,9 +159,13 @@ class BatchSdtw
     static constexpr std::size_t kDefaultLaneCapacity = 32;
 
     /**
-     * Fewest lanes a pool sizes a worker's kernel for (the stream
-     * pools and the benchmark's tracer read it).  The thin-vs-batched
-     * crossover is one vector group instead: a batch always folds
+     * Outside the tests, read only by perfbench's traced twin, which
+     * floors its workers' lane capacity with it.  That floor changes
+     * nothing: capacity rounds up to laneWidth() (8 or 16) and the
+     * Serial backend never reads it, so the stream pools size lanes
+     * by dispatchBatch alone.  It is to be renamed, or dropped, with
+     * that benchmark.
+     * The cutover is not this constant either: a batch always folds
      * whole groups, so b jobs on a W-lane backend pay for
      * roundup(b, W) lanes of work, while thin calls fold on the
      * columns kernel at ~7 G cells/s on AVX-512, level with the
@@ -250,7 +254,7 @@ class BatchSdtw
     SimdBackend backend_;
     std::size_t width_ = 1;
     std::size_t capacity_ = kDefaultLaneCapacity;
-    std::size_t serialCutover_ = kDefaultSerialCutover;
+    std::size_t serialCutover_ = 1; //!< laneWidth() unless overridden
     std::size_t tileCols_ = 0; //!< column-tile override, 0 = auto
     FoldStats foldStats_{};
     int bonusShift_ = -1; //!< detail::laneShift() of the config

@@ -3,26 +3,26 @@
 
 /**
  * @file
- * Decision-backend vocabulary: which engine executes a session's sDTW
- * decision requests, and the timing/energy ledger the modelled-ASIC
- * engine keeps.
+ * Decision-backend vocabulary: which engine a session's sDTW decision
+ * requests are charged to, and the timing/energy ledger of the
+ * modelled ASIC.
  *
  * The two-clock contract (docs/ARCHITECTURE.md) splits a Read Until
  * run into a virtual flowcell clock that decides outcomes and a wall
- * clock that measures compute cost.  A DecisionBackend lives entirely
- * on the measurement side: every backend folds chunks through the
- * same quantised DP (scores and decision logs are bit-identical for a
- * fixed seed no matter which backend runs), and only the *latency*
+ * clock that measures compute cost.  A backend lives entirely on the
+ * measurement side: every request folds through the same quantised
+ * DP (scores and decision logs are bit-identical for a fixed seed no
+ * matter which backend a session selects), and only the *latency*
  * attributed to each decision differs — wall time for the software
  * SIMD kernel, modelled systolic-array cycles over the synthesised
  * clock for the ASIC model.  Selecting a backend therefore never
  * changes what a session decides, only what its latency/power report
  * says — which is exactly the side-by-side the paper's §7 makes.
  *
- * This header is deliberately free of hw/ includes: stream/ owns the
- * vocabulary and hw::AsicBackend plugs into it (dependency inversion,
- * wired up by the makeDecisionBackend() factory in
- * decision_service.cpp — the single stream -> hw reach-down).
+ * This header is deliberately free of hw/ includes.  An Asic
+ * session's event loop charges each decision where its fold is
+ * awaited, through ModeledHwStats::charge(); that function is defined
+ * in decision_service.cpp, the single stream -> hw reach-down.
  */
 
 #include <cstddef>
@@ -50,14 +50,12 @@ struct AsicSpec
     std::size_t arrayDim = 2000;
     /** Synthesised clock; Table 4 closes timing at 2.5 GHz. */
     double clockGhz = 2.5;
-
-    bool operator==(const AsicSpec &other) const = default;
 };
 
 /**
- * Cumulative ledger a modelled-hardware backend keeps alongside the
- * decisions it executes.  Everything here is bookkeeping *about* the
- * model — the decisions themselves come from the shared DP fold.
+ * Cumulative ledger of a session's modelled-hardware decisions.
+ * Everything here is bookkeeping *about* the model — the decisions
+ * themselves come from the shared DP fold.
  */
 struct ModeledHwStats
 {
@@ -70,16 +68,16 @@ struct ModeledHwStats
     double modeledLatencyUsTotal = 0.0; //!< sum of per-decision model
     double energyJoules = 0.0;          //!< tile power x modelled time
 
-    void
-    accumulate(const ModeledHwStats &other)
-    {
-        decisions += other.decisions;
-        cycles += other.cycles;
-        arrayPasses += other.arrayPasses;
-        checkpointBytes += other.checkpointBytes;
-        modeledLatencyUsTotal += other.modeledLatencyUsTotal;
-        energyJoules += other.energyJoules;
-    }
+    /**
+     * Charge one decision of the chip @p spec, from hw::modelDecision:
+     * the fold added @p rows_folded query rows against a
+     * @p ref_samples-sample reference, @p resumed a checkpoint, and
+     * was the read's @p last_fold.  Energy is the Table 4 one-tile
+     * power of this array size scaled linearly from the synthesised
+     * 2.5 GHz clock.  Returns the decision's modelled latency (us).
+     */
+    double charge(const AsicSpec &spec, std::uint64_t rows_folded,
+                  std::size_t ref_samples, bool resumed, bool last_fold);
 };
 
 } // namespace sf::stream

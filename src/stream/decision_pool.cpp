@@ -41,23 +41,17 @@ DecisionPool::registerSession(QosClass cls, DecisionBackendKind backend)
 }
 
 void
-DecisionPool::start(const sdtw::SdtwConfig &kernel, const AsicSpec &asic)
+DecisionPool::start(const sdtw::SdtwConfig &kernel)
 {
     if (!workers_.empty())
         fatal("DecisionPool::start may be called once");
     // One engine per worker and per session whatever the backend mix:
-    // the modelled-ASIC one is a latency-accounting decorator over
-    // the software fold, so it serves Software requests at wall-clock
-    // latency too.
-    const DecisionBackendKind kind =
-        kindInUse_[std::size_t(DecisionBackendKind::Asic)]
-            ? DecisionBackendKind::Asic
-            : DecisionBackendKind::Software;
-    const std::size_t lanes = std::max<std::size_t>(
-        config_.dispatchBatch, sdtw::BatchSdtw::kDefaultSerialCutover);
+    // every request folds the same way, and an Asic session charges
+    // the modelled chip when its event loop awaits the decision.
     engines_.resize(config_.workers + helpedBySession_.size());
     for (Engine &engine : engines_)
-        engine.backend = makeDecisionBackend(kind, asic, kernel, lanes);
+        engine.backend =
+            std::make_unique<SoftwareBackend>(kernel, config_.dispatchBatch);
 
     workers_.reserve(config_.workers);
     for (unsigned w = 0; w < config_.workers; ++w)
@@ -126,9 +120,9 @@ DecisionPool::workerMain(Engine &engine)
 void
 DecisionPool::dispatch(Engine &engine, QosClass served)
 {
-    // Sessions of different backends may share the queue and fold in
-    // one lane batch: the engine decides per request what latency it
-    // is charged, never what it decides.
+    // Sessions of different backends share the queue and fold in one
+    // lane batch: a backend changes what a session's event loop
+    // charges a decision, never what it decides.
     std::vector<DecisionRequest> &batch = engine.batch;
     tick(counters_.dispatches, 1);
     tick(counters_.dispatchedRequests, batch.size());
@@ -150,17 +144,6 @@ DecisionPool::dispatch(Engine &engine, QosClass served)
     engine.publishedJobs = fs.laneJobs;
     engine.publishedSlots = fs.laneSlots;
     batch.clear();
-}
-
-ModeledHwStats
-DecisionPool::modeledStats(std::uint32_t session_id) const
-{
-    // Helper engines fold requests too: leaving them out would
-    // under-report an Asic session's cycles and checkpoint bytes.
-    ModeledHwStats total;
-    for (const Engine &engine : engines_)
-        total.accumulate(engine.backend->modeledStats(session_id));
-    return total;
 }
 
 std::uint64_t

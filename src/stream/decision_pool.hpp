@@ -12,9 +12,8 @@
  * sessions of both QoS classes on one pool.  Either way the pool owns
  * the same parts:
  *  - one QosBoundedQueue (backpressure, QoS classes, admission);
- *  - one DecisionBackend per worker and one per registered session
- *    (the modelled-ASIC decorator when any Asic session registered),
- *    built on the caller's thread so a configuration the backend
+ *  - one SoftwareBackend per worker and one per registered session,
+ *    built on the caller's thread so a configuration the kernel
  *    cannot support fatals before any worker thread exists;
  *  - the popBatch -> fold loop, one fold per dispatch, and help():
  *    a session's event loop that would block on a full queue or an
@@ -115,12 +114,10 @@ class DecisionPool final : public DecisionService
                                   DecisionBackendKind backend);
 
     /**
-     * Build each worker's engine — the Asic one when any registered
-     * session selected it — for the kernel shape @p kernel and the
-     * design point @p asic on this thread, then start the workers.
-     * Fatals on a configuration the backend cannot implement.
+     * Build each worker's and each session's engine for the kernel
+     * shape @p kernel on this thread, then start the workers.
      */
-    void start(const sdtw::SdtwConfig &kernel, const AsicSpec &asic);
+    void start(const sdtw::SdtwConfig &kernel);
 
     /** Enqueue for the workers.  While the queue refuses the push,
         help(request.sessionId); block only when that folds nothing. */
@@ -139,11 +136,6 @@ class DecisionPool final : public DecisionService
 
     /** The request queue (per-session depth and stalls). */
     const QosBoundedQueue<DecisionRequest> &queue() const { return queue_; }
-
-    /** Modelled-hardware ledger of session @p session_id, summed
-        over every engine, workers' and helpers'; call after
-        shutdown(). */
-    ModeledHwStats modeledStats(std::uint32_t session_id) const;
 
     /** Dispatches session @p session_id's event loop folded itself
         (relaxed: exact once its event loop returned). */

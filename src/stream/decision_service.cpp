@@ -1,6 +1,6 @@
 #include "stream/decision_service.hpp"
 
-#include "hw/asic_backend.hpp"
+#include "hw/asic_model.hpp"
 #include "sdtw/batch.hpp"
 
 namespace sf::stream {
@@ -18,6 +18,28 @@ microsSince(Clock::time_point start, Clock::time_point end)
 
 } // namespace
 
+// The single stream -> hw reach-down: stream/ owns the ledger, hw/
+// owns the one cycle model and the Table 4 power figures.
+double
+ModeledHwStats::charge(const AsicSpec &spec, std::uint64_t rows_folded,
+                       std::size_t ref_samples, bool resumed,
+                       bool last_fold)
+{
+    const hw::AsicDecisionModel model = hw::modelDecision(
+        spec.arrayDim, rows_folded, ref_samples, resumed, last_fold);
+    const double us = double(model.cycles) / (spec.clockGhz * 1e3);
+    const double power_w =
+        hw::AsicModel(spec.arrayDim, 1).oneTilePowerW() *
+        (spec.clockGhz / hw::AsicModel::kClockGhz);
+    decisions += 1;
+    cycles += model.cycles;
+    arrayPasses += model.passes;
+    checkpointBytes += model.checkpointBytes();
+    modeledLatencyUsTotal += us;
+    energyJoules += power_w * us * 1e-6;
+    return us;
+}
+
 const char *
 decisionBackendName(DecisionBackendKind kind)
 {
@@ -31,10 +53,8 @@ decisionBackendName(DecisionBackendKind kind)
 }
 
 SoftwareBackend::SoftwareBackend(const sdtw::SdtwConfig &config,
-                                 std::size_t lane_capacity,
-                                 DecisionLatencyFn latency)
-    : kernel_(std::make_unique<sdtw::BatchSdtw>(config, lane_capacity)),
-      latency_(std::move(latency))
+                                 std::size_t lane_capacity)
+    : kernel_(std::make_unique<sdtw::BatchSdtw>(config, lane_capacity))
 {
 }
 
@@ -81,11 +101,9 @@ SoftwareBackend::fold(std::vector<DecisionRequest> &batch)
         }
         cls->feedChunkBatch(feeds, *kernel_);
         const auto done = Clock::now();
-        for (std::size_t j : members) {
-            const double wall = microsSince(batch[j].enqueued, done);
-            batch[j].board->complete(
-                batch[j].slot, latency_ ? latency_(batch[j], wall) : wall);
-        }
+        for (std::size_t j : members)
+            batch[j].board->complete(batch[j].slot,
+                                     microsSince(batch[j].enqueued, done));
     }
 }
 
@@ -122,16 +140,9 @@ makeDecisionBackend(DecisionBackendKind kind, const AsicSpec &asic,
     if (!lane_batching)
         fatal("makeDecisionBackend: every backend folds lane batches, "
               "lane_batching must be true");
-    // The single stream -> hw reach-down: stream/ owns the backend
-    // vocabulary, hw/ implements the modelled-ASIC plug-in.
-    switch (kind) {
-    case DecisionBackendKind::Software:
-        return std::make_unique<SoftwareBackend>(config, lane_capacity);
-    case DecisionBackendKind::Asic:
-        return std::make_unique<hw::AsicBackend>(asic, config,
-                                                 lane_capacity);
-    }
-    panic("unknown DecisionBackendKind %d", int(kind));
+    if (kind == DecisionBackendKind::Asic)
+        checkAsicImplementable(asic, config);
+    return std::make_unique<SoftwareBackend>(config, lane_capacity);
 }
 
 } // namespace sf::stream

@@ -25,7 +25,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <utility>
@@ -134,8 +133,9 @@ struct DecisionRequest
     CompletionBoard *board = nullptr;
     std::size_t slot = 0;        //!< channel index within the board
     std::uint32_t sessionId = 0; //!< pool registration id (admission)
-    /** Engine the submitting session selected; an Asic engine
-        charges modelled latency to Asic requests only. */
+    /** Backend the submitting session selected: the pool counts it
+        per request.  Every request folds on the same engine; an Asic
+        session charges the model when it awaits the decision. */
     DecisionBackendKind backend = DecisionBackendKind::Software;
     std::chrono::steady_clock::time_point enqueued{};
 };
@@ -206,26 +206,13 @@ class DecisionService
 };
 
 /**
- * Per-decision latency hook of SoftwareBackend: called with the
- * measured wall latency after the request's fold but BEFORE its board
- * slot completes (the worker still owns the stream exclusively, so
- * the hook may read it), it returns the latency in microseconds to
- * record.  This is how hw::AsicBackend substitutes cycle-model
- * latency for wall time without touching the fold itself.
- */
-using DecisionLatencyFn =
-    std::function<double(const DecisionRequest &, double wall_us)>;
-
-/**
  * One worker's decision engine: folds dispatches through the shared
- * quantised DP and decides what latency each decision is charged.
- * Implementations are NOT thread-safe — one instance per worker,
- * constructed by DecisionPool::start() on the caller's thread so a
- * bad configuration fatals before any worker thread exists.
- *
- * Every backend produces bit-identical scores, decisions and
- * checkpoint states (the fold is the same kernel); only the latency
- * recorded on the CompletionBoard and the modelled telemetry differ.
+ * quantised DP and completes each request on its board with its wall
+ * latency.  Implementations are NOT thread-safe — one instance per
+ * worker, constructed by DecisionPool::start() on the caller's thread
+ * so a bad configuration fatals before any worker thread exists.
+ * SoftwareBackend is the one implementation; the seam stays for an
+ * engine that really folds differently.
  */
 class DecisionBackend
 {
@@ -237,34 +224,25 @@ class DecisionBackend
 
     /** Cumulative SIMD-slot utilisation of the underlying kernel. */
     virtual const sdtw::FoldStats &foldStats() const = 0;
-
-    /** Modelled-hardware ledger of session @p session_id's requests;
-        zeros for pure-software backends. */
-    virtual ModeledHwStats
-    modeledStats(std::uint32_t /*session_id*/) const
-    {
-        return {};
-    }
 };
 
 /**
  * The one fold: a per-worker SIMD BatchSdtw behind the backend seam,
- * which hw::AsicBackend decorates.  A dispatch's requests are grouped
- * by classifier (a fleet dispatch may span sessions filtering
+ * for Software and Asic requests alike.  A dispatch's requests are
+ * grouped by classifier (a fleet dispatch may span sessions filtering
  * different references) and each group advances as one SIMD lane
- * batch; a group below the kernel's serial cutover folds on the
- * serial engine inside BatchSdtw.  A dispatch may carry at most one
+ * batch; a group below the kernel's lane cutover folds on the
+ * columns kernel inside BatchSdtw (on the serial engine where the
+ * backend or config has none).  A dispatch may carry at most one
  * request per (board, slot) pair — two lanes aliasing one
  * ClassifierStream mid-fold would corrupt it, so duplicates panic.
- * Latency is wall time from enqueue to completion unless @p latency
- * overrides it.
+ * Latency is wall time from enqueue to completion.
  */
 class SoftwareBackend final : public DecisionBackend
 {
   public:
     SoftwareBackend(const sdtw::SdtwConfig &config,
-                    std::size_t lane_capacity,
-                    DecisionLatencyFn latency = {});
+                    std::size_t lane_capacity);
     ~SoftwareBackend() override;
 
     void fold(std::vector<DecisionRequest> &batch) override;
@@ -272,29 +250,27 @@ class SoftwareBackend final : public DecisionBackend
 
   private:
     std::unique_ptr<sdtw::BatchSdtw> kernel_;
-    DecisionLatencyFn latency_;
 };
 
 /**
  * Fatal unless the modelled hardware can run @p config on @p spec:
  * the absolute-difference metric without reference deletions (paper
- * §4.7), at least one PE and a positive clock.  Run by
- * hw::AsicBackend, hw::Tile and by ReadUntilSession for an Asic
- * session.
+ * §4.7), at least one PE and a positive clock.  Run by hw::Tile,
+ * by ReadUntilSession's constructor for an Asic session and by
+ * makeDecisionBackend() for DecisionBackendKind::Asic.
  */
 void checkAsicImplementable(const AsicSpec &spec,
                             const sdtw::SdtwConfig &config);
 
 /**
- * Construct the backend @p kind configured for one worker.  @p asic
- * is consulted only for DecisionBackendKind::Asic, whose engine folds
- * Software requests too, at wall-clock latency.  @p config must be
- * the kernel configuration shared by every classifier the worker will
- * fold (the session/fleet uniformity checks guarantee this).  Fatals
- * on a configuration the modelled hardware cannot implement — call on
- * the main thread.  @p lane_batching is kept only for perfbench's
- * traced twin, which passes true; false is fatal.  It leaves with
- * that twin.
+ * A SoftwareBackend for one worker, after checking that the modelled
+ * hardware can implement @p config on @p asic when @p kind is
+ * DecisionBackendKind::Asic (fatal otherwise — call on the main
+ * thread).  @p config must be the kernel configuration shared by
+ * every classifier the worker will fold.  @p lane_batching must be
+ * true; false is fatal.  Outside the tests only perfbench's traced
+ * twin calls this factory (DecisionPool builds SoftwareBackend
+ * directly), and the factory leaves with that twin.
  */
 std::unique_ptr<DecisionBackend>
 makeDecisionBackend(DecisionBackendKind kind, const AsicSpec &asic,

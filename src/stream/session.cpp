@@ -73,6 +73,10 @@ struct Channel
     /** Bumped whenever the current read ends; stale events no-op. */
     std::uint64_t epoch = 0;
     bool inFlight = false;
+    /** The in-flight request's fold progress and end-of-read flag at
+        submit(): an Asic session's charge reads them at the await. */
+    std::size_t consumedAtSubmit = 0;
+    bool submittedEnd = false;
     /** Chunks that surfaced while a decision was in flight. */
     std::vector<RawSample> backlog;
     bool backlogEnd = false;
@@ -448,6 +452,8 @@ class FlowcellLoop
     {
         Channel &ch = channels_[std::size_t(c)];
         ch.inFlight = true;
+        ch.consumedAtSubmit = ch.stream.consumed;
+        ch.submittedEnd = end;
         board_.markPending(std::size_t(c));
         if (!service_.submit(DecisionRequest{
                 &ch.stream, ch.cls, std::move(samples), end, &board_,
@@ -551,13 +557,32 @@ class FlowcellLoop
     }
 
     /** Await slot @p c's decision, folding queued work while it is not
-        ready instead of sleeping.  The loop's one wait. */
+        ready instead of sleeping.  The loop's one wait: every request
+        that reached the service passes through it exactly once, so an
+        Asic session charges the modelled chip here. */
     void
     awaitDecision(std::size_t c)
     {
         while (!board_.ready(c) && service_.help(sessionId_)) {
         }
         board_.await(c);
+        if (config_.backend == DecisionBackendKind::Asic)
+            chargeAsic(channels_[c]);
+    }
+
+    /** Charge @p ch's awaited fold to the modelled chip: the rows it
+        folded since submit(), whether it resumed a checkpoint, and
+        whether it was the read's last fold (the read ended, or its
+        final stage was evaluated).  Keeps the modelled latency. */
+    void
+    chargeAsic(const Channel &ch)
+    {
+        const std::size_t pre = ch.consumedAtSubmit;
+        const bool last_fold = ch.submittedEnd ||
+                               ch.stream.stageIdx == ch.cls->stages().size();
+        modelledUs_.push_back(stats_.hwModel.charge(
+            config_.asic, ch.stream.consumed - pre,
+            ch.cls->reference().size(), pre > 0, last_fold));
     }
 
     /**
@@ -604,7 +629,12 @@ class FlowcellLoop
         stats_.wallSeconds = wall_sec;
         stats_.chunksPerSec =
             wall_sec > 0.0 ? double(stats_.chunksEmitted) / wall_sec : 0.0;
-        const auto latencies_us = board_.takeLatencies();
+        // An Asic session reports the modelled latency, in await
+        // order; a Software session the wall latency its board kept.
+        const std::vector<double> latencies_us =
+            config_.backend == DecisionBackendKind::Asic
+                ? std::move(modelledUs_)
+                : board_.takeLatencies();
         if (!latencies_us.empty()) {
             stats_.latency.p50us = percentile(latencies_us, 50.0);
             stats_.latency.p90us = percentile(latencies_us, 90.0);
@@ -640,6 +670,9 @@ class FlowcellLoop
     const sdtw::SquiggleFilterClassifier *currentCls_;
     bool serviceDown_ = false; //!< a submit was refused: stop
     double now_ = 0.0;         //!< virtual time of the last event
+
+    /** An Asic session's modelled latency per awaited decision (us). */
+    std::vector<double> modelledUs_;
 
     SessionResult out_;
     SessionStats &stats_ = out_.stats;
@@ -714,7 +747,7 @@ ReadUntilSession::run(std::span<const signal::ReadRecord> reads) const
     DecisionPool pool(pool_config);
     const std::uint32_t session_id =
         pool.registerSession(QosClass::Stat, config_.backend);
-    pool.start(classifier_.config(), config_.asic);
+    pool.start(classifier_.config());
     SessionResult out = runShared(pool, reads, session_id);
     pool.shutdown();
     // Pool-level statistics, and the wall clock including the drain
@@ -732,7 +765,6 @@ ReadUntilSession::run(std::span<const signal::ReadRecord> reads) const
         out.stats.dispatches > 0 ? double(counters.dispatchedRequests) /
                                        double(out.stats.dispatches)
                                  : 0.0;
-    out.stats.hwModel = pool.modeledStats(session_id);
     return out;
 }
 

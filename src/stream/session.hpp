@@ -105,7 +105,8 @@ struct DecisionRecord
     bool operator==(const DecisionRecord &other) const = default;
 };
 
-/** Real (wall-clock) decision latency percentiles, microseconds. */
+/** Decision latency percentiles, microseconds: wall clock, or the
+    cycle model for an Asic session. */
 struct LatencySummary
 {
     double p50us = 0.0;
@@ -155,9 +156,11 @@ struct SessionStats
 
     /** Backend that executed the decisions. */
     DecisionBackendKind backend = DecisionBackendKind::Software;
-    /** Modelled-hardware ledger (all-zero on the software backend).
-        With the Asic backend, `latency` above holds the cycle-model
-        percentiles instead of wall time. */
+    /** Modelled-hardware ledger (all-zero on the software backend),
+        charged by the session's event loop as it awaits each
+        decision, in the loop's deterministic order.  With the Asic
+        backend, `latency` above holds the cycle-model percentiles
+        instead of wall time. */
     ModeledHwStats hwModel;
 
     /** Work advantage of checkpointing (>= 1). */
@@ -208,11 +211,11 @@ class ReadUntilSession
      * Wall-clock statistics (latency percentiles, chunks/s) reflect
      * the shared pool; dispatches/meanBatchSize are
      * pool-level and left zero, as is helpedDispatches (the fleet
-     * fills it in).  @p session_id tags every submitted
-     * request so the service can do per-session admission accounting,
-     * and @p live (optional) is ticked as chunks surface and
-     * decisions apply so an orchestrator can snapshot progress
-     * mid-run.
+     * fills it in); hwModel is the session's own.  @p session_id
+     * tags every submitted request so the service can do per-session
+     * admission accounting, and @p live (optional) is ticked as
+     * chunks surface and decisions apply so an orchestrator can
+     * snapshot progress mid-run.
      */
     SessionResult runShared(DecisionService &service,
                             std::span<const signal::ReadRecord> reads,

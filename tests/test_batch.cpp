@@ -436,8 +436,10 @@ TEST(BatchSdtwTest, EmptyQueryWithResumedStateReportsCurrentRow)
 
 TEST(BatchSdtwTest, SerialCutoverPathIsAlsoBitIdentical)
 {
-    // Below the cutover processMany() delegates to the serial engine;
-    // results must be indistinguishable from the batched path.
+    // A one-lane call is below the cutover on every backend, so it
+    // takes the thin path: the columns kernel on a lane backend, the
+    // serial engine on the Serial one.  Results must be
+    // indistinguishable from the serial engine's.
     Rng rng(0xc0feULL);
     const auto ref = randomQuantSignal(100, rng);
     const auto q = randomQuantSignal(50, rng);
@@ -452,6 +454,8 @@ TEST(BatchSdtwTest, SerialCutoverPathIsAlsoBitIdentical)
     lanes[0].state = &state;
     lanes[0].query = q;
     kernel.processMany(lanes, ref);
+    EXPECT_EQ(kernel.foldStats().serialCalls, 1u);
+    EXPECT_EQ(kernel.foldStats().batchedCalls, 0u);
     EXPECT_EQ(lanes[0].result.cost, want.cost);
     EXPECT_EQ(state.row, want_state.row);
 }

@@ -598,7 +598,7 @@ TEST_F(FaultTest, CombinedHostilePlanStaysDeterministic)
     DecisionPool pool(pool_config);
     const std::uint32_t id =
         pool.registerSession(QosClass::Stat, cfg.backend);
-    pool.start(classifier().config(), cfg.asic);
+    pool.start(classifier().config());
     SessionLiveCounters live;
     const SessionResult shared = ReadUntilSession(classifier(), cfg)
                                      .runShared(pool, reads().reads, id,

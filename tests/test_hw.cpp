@@ -18,7 +18,6 @@
 #include "fleet/orchestrator.hpp"
 #include "genome/synthetic.hpp"
 #include "hw/accelerator.hpp"
-#include "hw/asic_backend.hpp"
 #include "hw/asic_model.hpp"
 #include "hw/systolic.hpp"
 #include "hw/tile.hpp"
@@ -545,7 +544,7 @@ TEST(AsicModel, InvalidConfigIsFatal)
 }
 
 // ---------------------------------------------------------------- //
-//              modelled-ASIC decision backend: cycle model          //
+//            modelled-ASIC decision charge: cycle model             //
 // ---------------------------------------------------------------- //
 
 TEST(AsicBackendModel, SinglePassQueryStationaryMeetsPaperBudget)
@@ -597,7 +596,9 @@ TEST(AsicBackendModel, NonFinalEjectWritesItsRowBack)
 {
     // A pass streams its DP row out to DRAM before the row's minimum
     // decides the read, so an eject at a non-final stage is charged
-    // the M-cell write-back; the read's last fold is not.
+    // the M-cell write-back; the read's last fold is not.  Each
+    // classifier runs the same read through a one-channel Asic
+    // session, whose event loop charges the decision.
     constexpr std::size_t kChunk = 1600;
     const pore::ReferenceSquiggle &reference =
         pipeline::streamVirusSquiggle();
@@ -606,41 +607,110 @@ TEST(AsicBackendModel, NonFinalEjectWritesItsRowBack)
     sdtw::SquiggleFilterClassifier keeps_at_end(reference);
     keeps_at_end.setSingleStage(kChunk, kCostMax);
 
-    AsicBackend backend(stream::AsicSpec{}, sdtw::hardwareConfig(), 16);
-    const auto &raw =
-        pipeline::makeStreamDataset(2, 0.5, 91).reads.front().raw;
-    ASSERT_GE(raw.size(), kChunk);
-    std::vector<sdtw::ClassifierStream> streams{
-        ejects_early.beginStream(), keeps_at_end.beginStream()};
-    stream::CompletionBoard board(2);
-    std::vector<stream::DecisionRequest> batch;
-    for (std::uint32_t i = 0; i < 2; ++i) {
-        stream::DecisionRequest req;
-        req.stream = &streams[i];
-        req.classifier = i == 0 ? &ejects_early : &keeps_at_end;
-        req.samples.assign(raw.begin(),
-                           raw.begin() + std::ptrdiff_t(kChunk));
-        req.board = &board;
-        req.slot = i;
-        req.sessionId = i;
-        req.backend = stream::DecisionBackendKind::Asic;
-        req.enqueued = std::chrono::steady_clock::now();
-        board.markPending(i);
-        batch.push_back(std::move(req));
-    }
-    backend.fold(batch);
+    const auto &read = pipeline::makeStreamDataset(2, 0.5, 91).reads.front();
+    // Longer than one chunk, so the first chunk does not end the read.
+    ASSERT_GT(read.raw.size(), kChunk);
+    stream::SessionConfig cfg;
+    cfg.channels = 1;
+    cfg.chunkSeconds = double(kChunk) / cfg.sampleRateHz;
+    cfg.backend = stream::DecisionBackendKind::Asic;
+    const auto run = [&](const sdtw::SquiggleFilterClassifier &cls) {
+        return stream::ReadUntilSession(cls, cfg).run({&read, 1});
+    };
+    const stream::SessionResult early = run(ejects_early);
+    const stream::SessionResult late = run(keeps_at_end);
 
-    ASSERT_TRUE(streams[0].decided);
-    EXPECT_FALSE(streams[0].result.keep);
-    EXPECT_EQ(streams[0].result.stagesRun, 1u);
-    EXPECT_EQ(backend.modeledStats(0).checkpointBytes,
+    ASSERT_EQ(early.log.size(), 1u);
+    EXPECT_FALSE(early.log[0].keep);
+    EXPECT_EQ(early.log[0].stagesRun, 1u);
+    EXPECT_EQ(early.stats.hwModel.decisions, 1u);
+    EXPECT_EQ(early.stats.hwModel.checkpointBytes,
               reference.size() * kCheckpointBytesPerCell);
 
-    ASSERT_TRUE(streams[1].decided);
-    EXPECT_TRUE(streams[1].result.keep);
-    EXPECT_EQ(backend.modeledStats(1).checkpointBytes, 0u);
-    EXPECT_EQ(backend.modeledStats(0).cycles,
-              backend.modeledStats(1).cycles);
+    ASSERT_EQ(late.log.size(), 1u);
+    EXPECT_TRUE(late.log[0].keep);
+    EXPECT_EQ(late.log[0].stagesRun, 1u);
+    EXPECT_EQ(late.stats.hwModel.decisions, 1u);
+    EXPECT_EQ(late.stats.hwModel.checkpointBytes, 0u);
+    EXPECT_EQ(early.stats.hwModel.cycles, late.stats.hwModel.cycles);
+}
+
+TEST(AsicBackendModel, ResumedFoldIsChargedOnlyItsNewRows)
+{
+    // Two chunks, two decisions: the first folds the first stage and
+    // continues (a checkpoint write-back), the second resumes from the
+    // saved row and folds only the second chunk's rows as the read's
+    // last fold.  The session's ledger is exactly those two charges.
+    constexpr std::size_t kChunk = 1600;
+    const pore::ReferenceSquiggle &reference =
+        pipeline::streamVirusSquiggle();
+    sdtw::SquiggleFilterClassifier two_stages(reference);
+    two_stages.setStages({{kChunk, kCostMax}, {2 * kChunk, kCostMax}});
+
+    const auto &read = pipeline::makeStreamDataset(2, 0.5, 91).reads.front();
+    ASSERT_GT(read.raw.size(), 2 * kChunk);
+    stream::SessionConfig cfg;
+    cfg.channels = 1;
+    cfg.chunkSeconds = double(kChunk) / cfg.sampleRateHz;
+    cfg.backend = stream::DecisionBackendKind::Asic;
+    const stream::SessionResult run =
+        stream::ReadUntilSession(two_stages, cfg).run({&read, 1});
+
+    ASSERT_EQ(run.log.size(), 1u);
+    EXPECT_TRUE(run.log[0].keep);
+    EXPECT_EQ(run.log[0].stagesRun, 2u);
+    const stream::AsicSpec spec;
+    const AsicDecisionModel first = modelDecision(
+        spec.arrayDim, kChunk, reference.size(), false, false);
+    const AsicDecisionModel second = modelDecision(
+        spec.arrayDim, kChunk, reference.size(), true, true);
+    const stream::ModeledHwStats &hw = run.stats.hwModel;
+    EXPECT_EQ(hw.decisions, 2u);
+    EXPECT_EQ(hw.cycles, first.cycles + second.cycles);
+    EXPECT_EQ(hw.arrayPasses, first.passes + second.passes);
+    EXPECT_EQ(hw.checkpointBytes,
+              first.checkpointBytes() + second.checkpointBytes());
+    EXPECT_EQ(hw.checkpointBytes,
+              2 * reference.size() * kCheckpointBytesPerCell);
+}
+
+TEST(AsicBackendModel, AbortedInFlightFoldIsChargedOnce)
+{
+    // A dropout while the read's first decision is in flight aborts
+    // the read: the decision never applies, but its fold ran, and the
+    // event loop's await in abortRead charges it once.
+    constexpr std::size_t kChunk = 1600;
+    const pore::ReferenceSquiggle &reference =
+        pipeline::streamVirusSquiggle();
+    sdtw::SquiggleFilterClassifier two_stages(reference);
+    two_stages.setStages({{kChunk, kCostMax}, {2 * kChunk, kCostMax}});
+
+    const auto &read = pipeline::makeStreamDataset(2, 0.5, 91).reads.front();
+    ASSERT_GT(read.raw.size(), kChunk);
+    // Capture within ~10 ms, the first chunk at ~0.4 s, its decision
+    // applying ~0.3 s later; the pore goes dark for good in between.
+    stream::FaultPlan plan;
+    plan.dropouts.push_back({0, 0.55, 0.0});
+    stream::SessionConfig cfg;
+    cfg.channels = 1;
+    cfg.chunkSeconds = double(kChunk) / cfg.sampleRateHz;
+    cfg.captureDelayMeanSec = 1e-3;
+    cfg.decisionLatencySec = 0.3;
+    cfg.backend = stream::DecisionBackendKind::Asic;
+    cfg.faults = &plan;
+    const stream::SessionResult run =
+        stream::ReadUntilSession(two_stages, cfg).run({&read, 1});
+
+    EXPECT_TRUE(run.log.empty());
+    EXPECT_EQ(run.stats.decisions, 0u);
+    EXPECT_EQ(run.stats.degradation.readsAborted, 1u);
+    const AsicDecisionModel fold = modelDecision(
+        stream::AsicSpec{}.arrayDim, kChunk, reference.size(), false, false);
+    const stream::ModeledHwStats &hw = run.stats.hwModel;
+    EXPECT_EQ(hw.decisions, 1u);
+    EXPECT_EQ(hw.cycles, fold.cycles);
+    EXPECT_EQ(hw.checkpointBytes, fold.checkpointBytes());
+    EXPECT_EQ(run.stats.latency.p50us, hw.modeledLatencyUsTotal);
 }
 
 TEST(AsicBackendModel, BackendRejectsUnimplementableConfigs)
@@ -648,19 +718,22 @@ TEST(AsicBackendModel, BackendRejectsUnimplementableConfigs)
     stream::AsicSpec spec;
     // The hardware implements |q - r| without reference deletions;
     // modelling it for any other recurrence would be a lie.
-    EXPECT_THROW(AsicBackend(spec, sdtw::vanillaConfig(), 16), FatalError);
+    EXPECT_THROW(stream::checkAsicImplementable(spec, sdtw::vanillaConfig()),
+                 FatalError);
     sdtw::SdtwConfig refdel = sdtw::hardwareConfig();
     refdel.allowReferenceDeletion = true;
-    EXPECT_THROW(AsicBackend(spec, refdel, 16), FatalError);
+    EXPECT_THROW(stream::checkAsicImplementable(spec, refdel), FatalError);
 
     stream::AsicSpec zero_pes;
     zero_pes.arrayDim = 0;
-    EXPECT_THROW(AsicBackend(zero_pes, sdtw::hardwareConfig(), 16),
-                 FatalError);
+    EXPECT_THROW(
+        stream::checkAsicImplementable(zero_pes, sdtw::hardwareConfig()),
+        FatalError);
     stream::AsicSpec bad_clock;
     bad_clock.clockGhz = 0.0;
-    EXPECT_THROW(AsicBackend(bad_clock, sdtw::hardwareConfig(), 16),
-                 FatalError);
+    EXPECT_THROW(
+        stream::checkAsicImplementable(bad_clock, sdtw::hardwareConfig()),
+        FatalError);
 }
 
 TEST(AsicBackendModel, SerialFoldRequestIsFatal)
@@ -752,6 +825,37 @@ class BackendParityTest : public ::testing::Test
         return cache.at(i);
     }
 
+    /** Asic standalone run of session @p i at design point @p spec:
+        the oracle of its modelled latency and hwModel in a fleet. */
+    static stream::SessionResult
+    asicStandalone(std::size_t i, const stream::AsicSpec &spec = {})
+    {
+        stream::SessionConfig cfg =
+            sessionConfig(i, stream::DecisionBackendKind::Asic);
+        cfg.asic = spec;
+        return stream::ReadUntilSession(classifier(), cfg)
+            .run(sessionReads(i).reads);
+    }
+
+    /** The modelled latency percentiles and ledger, bit for bit. */
+    static void
+    expectModelEqual(const stream::SessionStats &run,
+                     const stream::SessionStats &want,
+                     const std::string &context)
+    {
+        EXPECT_EQ(run.latency.p50us, want.latency.p50us) << context;
+        EXPECT_EQ(run.latency.p99us, want.latency.p99us) << context;
+        const stream::ModeledHwStats &a = run.hwModel;
+        const stream::ModeledHwStats &b = want.hwModel;
+        EXPECT_EQ(a.decisions, b.decisions) << context;
+        EXPECT_EQ(a.cycles, b.cycles) << context;
+        EXPECT_EQ(a.arrayPasses, b.arrayPasses) << context;
+        EXPECT_EQ(a.checkpointBytes, b.checkpointBytes) << context;
+        EXPECT_EQ(a.modeledLatencyUsTotal, b.modeledLatencyUsTotal)
+            << context;
+        EXPECT_EQ(a.energyJoules, b.energyJoules) << context;
+    }
+
     static void
     expectLogsEqual(const stream::SessionResult &run,
                     const stream::SessionResult &want,
@@ -814,9 +918,10 @@ TEST_F(BackendParityTest, AsicSessionLogMatchesSoftwareAcrossWorkers)
 TEST_F(BackendParityTest, HelpedAsicSessionLedgerMatchesFourWorkers)
 {
     // One worker and a deep queue: the event loop folds queued
-    // dispatches on its own engine while it waits.  The pool's ledger
-    // must sum that engine too, so the session reports the same
-    // hwModel as a 4-worker run.  Near-instant captures line every
+    // dispatches on its own engine while it waits.  The session
+    // charges each decision where it awaits it, whichever thread
+    // folded it, so it reports the same hwModel as a 4-worker run,
+    // its doubles included.  Near-instant captures line every
     // channel's chunks up on the same virtual instants, and a virtual
     // decision latency of one chunk keeps each request in flight
     // until the next wave is submitted, so the event loop awaits its
@@ -845,11 +950,10 @@ TEST_F(BackendParityTest, HelpedAsicSessionLedgerMatchesFourWorkers)
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.arrayPasses, b.arrayPasses);
     EXPECT_EQ(a.checkpointBytes, b.checkpointBytes);
-    // Sums of doubles over a different split across engines: equal
-    // up to rounding.
-    EXPECT_NEAR(a.modeledLatencyUsTotal, b.modeledLatencyUsTotal,
-                1e-9 * b.modeledLatencyUsTotal);
-    EXPECT_NEAR(a.energyJoules, b.energyJoules, 1e-9 * b.energyJoules);
+    // Summed in the event loop's await order, which the virtual clock
+    // fixes: equal bit for bit.
+    EXPECT_EQ(a.modeledLatencyUsTotal, b.modeledLatencyUsTotal);
+    EXPECT_EQ(a.energyJoules, b.energyJoules);
 }
 
 TEST_F(BackendParityTest, SoftwareBackendIsTheDefaultAndUnmodelled)
@@ -866,7 +970,11 @@ TEST_F(BackendParityTest, MixedFleetLogsMatchOracleAcrossMatrix)
     // Alternate backends across the fleet: asic and software sessions
     // share the worker pool and every log must still equal the
     // software standalone oracle, at every fleet size and worker
-    // count.
+    // count.  Each Asic session's modelled latency and ledger equal
+    // its standalone Asic run's, bit for bit.
+    std::vector<stream::SessionResult> asic_oracle;
+    for (std::size_t i = 0; i < kMaxFleet; i += 2)
+        asic_oracle.push_back(asicStandalone(i));
     for (std::size_t fleet_size : kParityFleetSizes) {
         for (unsigned workers : kParityWorkers) {
             fleet::FleetConfig cfg;
@@ -895,13 +1003,21 @@ TEST_F(BackendParityTest, MixedFleetLogsMatchOracleAcrossMatrix)
                                 context + " session=" +
                                     std::to_string(i));
             // Each session's modelled-hardware ledger covers exactly
-            // its own decisions when it selected the Asic backend.
+            // its own decisions when it selected the Asic backend, and
+            // a Software session keeps its wall latency.
             for (std::size_t i = 0; i < fleet_size; ++i) {
                 const stream::SessionStats &stats =
                     result.sessions[i].result.stats;
+                const std::string where =
+                    context + " session=" + std::to_string(i);
                 EXPECT_EQ(stats.hwModel.decisions,
                           i % 2 == 0 ? stats.decisions : 0u)
-                    << context << " session=" << i;
+                    << where;
+                if (i % 2 == 0)
+                    expectModelEqual(stats, asic_oracle[i / 2].stats,
+                                     where);
+                else
+                    EXPECT_EQ(stats.hwModel.cycles, 0u) << where;
             }
             // The dispatch share splits by backend and accounts for
             // every folded request.
@@ -927,11 +1043,13 @@ TEST_F(BackendParityTest, MixedFleetLogsMatchOracleAcrossMatrix)
     }
 }
 
-TEST_F(BackendParityTest, MixedDispatchFoldsOnceModellingOnlyAsicRequests)
+TEST_F(BackendParityTest, MixedDispatchFoldsOnceAtWallLatency)
 {
     // Asic and Software requests on one classifier share one lane
-    // batch on an Asic engine: one kernel call, the cycle model
-    // charged to the Asic requests only, wall time kept for the rest.
+    // batch on an engine the factory built for an Asic session: one
+    // kernel call, and every request completes with its wall latency
+    // (the modelled charge is the event loop's, see
+    // MixedFleetLogsMatchOracleAcrossMatrix).
     constexpr std::size_t kRequests = 4;
     const auto backend = stream::makeDecisionBackend(
         stream::DecisionBackendKind::Asic, stream::AsicSpec{},
@@ -972,37 +1090,50 @@ TEST_F(BackendParityTest, MixedDispatchFoldsOnceModellingOnlyAsicRequests)
     const sdtw::FoldStats &after = backend->foldStats();
     EXPECT_EQ(after.batchedCalls + after.serialCalls,
               before.batchedCalls + before.serialCalls + 1);
-    EXPECT_EQ(backend->modeledStats(0).decisions, kRequests / 2);
-    EXPECT_EQ(backend->modeledStats(1).decisions, 0u);
-    const std::vector<double> modelled = asic_board.takeLatencies();
-    ASSERT_EQ(modelled.size(), kRequests / 2);
-    for (double us : modelled) {
-        EXPECT_GT(us, 0.0);
-        EXPECT_LT(us, 1e3);
+    for (stream::CompletionBoard *board : {&asic_board, &software_board}) {
+        const std::vector<double> wall = board->takeLatencies();
+        ASSERT_EQ(wall.size(), kRequests / 2);
+        for (double us : wall)
+            EXPECT_GE(us, 1e6);
     }
-    const std::vector<double> wall = software_board.takeLatencies();
-    ASSERT_EQ(wall.size(), kRequests / 2);
-    for (double us : wall)
-        EXPECT_GE(us, 1e6);
 }
 
-TEST_F(BackendParityTest, FleetRejectsAsicSpecDisagreement)
+TEST_F(BackendParityTest, FleetChargesEachAsicSessionItsOwnDesignPoint)
 {
-    fleet::FleetOrchestrator fleet(fleet::FleetConfig{});
-    fleet::SessionSpec a;
-    a.name = "d2000";
-    a.classifier = &classifier();
-    a.config = sessionConfig(0, stream::DecisionBackendKind::Asic);
-    a.reads = sessionReads(0).reads;
-    fleet.addSession(std::move(a));
-
-    fleet::SessionSpec b;
-    b.name = "d1000";
-    b.classifier = &classifier();
-    b.config = sessionConfig(1, stream::DecisionBackendKind::Asic);
-    b.config.asic.arrayDim = 1000;
-    b.reads = sessionReads(1).reads;
-    EXPECT_THROW(fleet.addSession(std::move(b)), FatalError);
+    // Two Asic sessions of one fleet model different chips (D = 2000
+    // and D = 1000): each session charges its own AsicSpec, so its
+    // modelled latency and ledger equal its standalone run's.
+    stream::AsicSpec half;
+    half.arrayDim = 1000;
+    const stream::AsicSpec specs[] = {stream::AsicSpec{}, half};
+    fleet::FleetConfig cfg;
+    cfg.workers = kParityWorkers.back();
+    fleet::FleetOrchestrator fleet(cfg);
+    for (std::size_t i = 0; i < 2; ++i) {
+        fleet::SessionSpec spec;
+        spec.name = "d" + std::to_string(specs[i].arrayDim);
+        spec.classifier = &classifier();
+        spec.config = sessionConfig(i, stream::DecisionBackendKind::Asic);
+        spec.config.asic = specs[i];
+        spec.reads = sessionReads(i).reads;
+        fleet.addSession(std::move(spec));
+    }
+    const fleet::FleetResult result = fleet.run();
+    ASSERT_EQ(result.sessions.size(), 2u);
+    for (std::size_t i = 0; i < 2; ++i) {
+        const stream::SessionResult alone = asicStandalone(i, specs[i]);
+        const std::string context = result.sessions[i].name;
+        expectLogsEqual(result.sessions[i].result, oracle(i), context);
+        EXPECT_EQ(result.sessions[i].result.stats.hwModel.decisions,
+                  alone.stats.decisions)
+            << context;
+        expectModelEqual(result.sessions[i].result.stats, alone.stats,
+                         context);
+    }
+    // The design point is really charged: the 1600-row folds take two
+    // passes of the 1000-PE array where the 2000-PE one takes one.
+    EXPECT_GT(result.sessions[1].result.stats.hwModel.arrayPasses,
+              asicStandalone(1).stats.hwModel.arrayPasses);
 }
 
 } // namespace

@@ -328,7 +328,7 @@ TEST_F(SessionTest, EventLoopHelpsWithWhateverIsQueued)
     DecisionPool pool(pool_config);
     const std::uint32_t id =
         pool.registerSession(QosClass::Stat, cfg.backend);
-    pool.start(classifier().config(), cfg.asic);
+    pool.start(classifier().config());
     const SessionResult helped = ReadUntilSession(classifier(), cfg)
                                      .runShared(pool, data.reads, id);
     pool.shutdown();
@@ -464,7 +464,7 @@ TEST_F(SessionTest, MidStreamTeardownUnderLoadShutsDownCleanly)
     DecisionPool pool(pool_config);
     const std::uint32_t id =
         pool.registerSession(QosClass::Stat, cfg.backend);
-    pool.start(classifier().config(), cfg.asic);
+    pool.start(classifier().config());
     const auto result = ReadUntilSession(classifier(), cfg)
                             .runShared(pool, data.reads, id);
     pool.shutdown();
